@@ -7,7 +7,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build vet lint errvet test test-noasm race race-hammer chaos net-chaos topo-chaos crash fuzz bench-pr1 bench-pr2 bench-pr6 bench-pr7 bench-pr9 bench-pr10 stress metrics-bench ci
+.PHONY: all build vet lint errvet test test-noasm test-cpus race race-hammer chaos net-chaos topo-chaos crash fuzz bench-pr1 bench-pr2 bench-pr6 bench-pr7 bench-pr9 bench-pr10 stress metrics-bench ci
 
 all: build
 
@@ -40,6 +40,18 @@ test:
 # pure-Go fallback (and therefore every non-SIMD platform) passes.
 test-noasm:
 	$(GO) test -tags noasm ./...
+
+# The two tier-1 hangs only exist with more than one P: nested
+# parallel.Run needs busy pool workers, and two repair workers must be
+# journaling at once for one to strand the other. The pool is sized
+# once per process from GOMAXPROCS, so each setting is its own `go
+# test` run (-count=1: the test cache does not key on GOMAXPROCS), and
+# the timeout turns a reintroduced deadlock into a failure. Set
+# explicitly, these run the multi-P schedules even when `ci` is
+# recorded on a 1-CPU host.
+test-cpus:
+	GOMAXPROCS=2 $(GO) test -count=1 -timeout 180s ./internal/parallel ./internal/core ./internal/store
+	GOMAXPROCS=4 $(GO) test -count=1 -timeout 180s ./internal/parallel ./internal/core ./internal/store
 
 race:
 	$(GO) test -race ./...
@@ -86,6 +98,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzRSRoundTrip -fuzztime=$(FUZZTIME) ./internal/rs/
 	$(GO) test -run=^$$ -fuzz=FuzzCoreRoundTrip -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzParseSchedule -fuzztime=$(FUZZTIME) ./internal/chaos/
+	$(GO) test -run=^$$ -fuzz=FuzzJournalRecords -fuzztime=$(FUZZTIME) ./internal/store/
 
 # Focused concurrency hammer, repeated under the race detector: Stats
 # vs the mutating paths, UpdateSegment vs FailNodes, the obs registry's
@@ -142,4 +155,4 @@ bench-pr9:
 bench-pr10:
 	$(GO) run ./cmd/apprbench -exp pr10 -iters 3
 
-ci: lint errvet build test test-noasm race race-hammer stress chaos net-chaos topo-chaos crash fuzz metrics-bench bench-pr7 bench-pr9 bench-pr10
+ci: lint errvet build test test-noasm test-cpus race race-hammer stress chaos net-chaos topo-chaos crash fuzz metrics-bench bench-pr7 bench-pr9 bench-pr10

@@ -10,11 +10,18 @@
 // goroutines that live for the life of the process, so steady-state
 // encoding spawns no goroutines at all.
 //
-// The calling goroutine always participates in executing tasks, which
-// makes the engine safe to use reentrantly (a parallel coder invoked
-// from inside a parallel codeword fan-out): when the pool is saturated
-// the nested call simply degrades to inline execution instead of
-// deadlocking.
+// Reentrant use (a parallel coder invoked from inside a parallel
+// codeword fan-out) cannot deadlock, for two reasons that both matter.
+// The calling goroutine always executes tasks itself, so a Run needs no
+// helper to finish. And the hand-off to the pool is unbuffered: a
+// helper is accepted only by a worker that is idle at that instant and
+// starts it at once, so a Run only ever waits on helpers that are
+// already running — never on one parked in a queue behind workers that
+// are themselves blocked inside a nested Run waiting for their own
+// helpers. (A buffered hand-off had exactly that cycle: with every
+// worker inside a nested Run, the helpers they waited for sat in the
+// buffer with nobody left to start them.) When no worker is idle the
+// call degrades to inline execution on the caller.
 package parallel
 
 import (
@@ -92,8 +99,11 @@ func Pick(opts []Options) Options {
 }
 
 // pool is the process-wide worker set. Workers are started lazily on
-// first parallel call and never exit; submission is non-blocking, so a
-// saturated pool sheds load onto callers instead of queueing unboundedly.
+// first parallel call and never exit. jobs is unbuffered on purpose:
+// a send succeeds only into a worker blocked in receive, so an accepted
+// job is a running job (see the package doc for why a buffer deadlocks
+// nested Runs), and a saturated pool sheds load onto callers instead of
+// queueing.
 var pool struct {
 	once sync.Once
 	jobs chan func()
@@ -102,7 +112,7 @@ var pool struct {
 func ensurePool() {
 	pool.once.Do(func() {
 		n := runtime.GOMAXPROCS(0)
-		pool.jobs = make(chan func(), 2*n)
+		pool.jobs = make(chan func())
 		for i := 0; i < n; i++ {
 			go func() {
 				for f := range pool.jobs {
@@ -113,8 +123,8 @@ func ensurePool() {
 	})
 }
 
-// trySubmit hands a job to the pool without blocking; false means the
-// pool is saturated and the caller should absorb the work itself.
+// trySubmit hands a job to an idle worker without blocking; false means
+// every worker is busy and the caller should absorb the work itself.
 func trySubmit(f func()) bool {
 	select {
 	case pool.jobs <- f:
@@ -129,7 +139,8 @@ type recovered struct{ v any }
 
 // Run executes fn(i) for every i in [0, n), spreading calls over up to
 // `workers` goroutines (0 = GOMAXPROCS) drawn from the shared pool. The
-// calling goroutine participates, so Run never deadlocks — under pool
+// calling goroutine participates and helpers are only ever handed to
+// idle workers, so Run needs no pool capacity to finish — under pool
 // saturation or reentrant use it degrades toward inline execution. Run
 // returns when every call has finished. A panic in fn stops the
 // remaining work and is re-raised on the caller.

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunCoversEveryIndex(t *testing.T) {
@@ -32,6 +33,49 @@ func TestRunNested(t *testing.T) {
 	})
 	if total != 256 {
 		t.Fatalf("nested Run executed %d of 256 tasks", total)
+	}
+}
+
+// TestRunNestedFromManyCallers is the regression test for the nested
+// deadlock: many goroutines each fan out over the pool, and every task
+// fans out again (core.Verify over codewords -> a coder's Stripe). With
+// a buffered hand-off a helper could be accepted into the buffer while
+// every worker was inside a nested Run waiting for its own helpers, and
+// nobody was left to start it. Explicit worker counts keep the test
+// meaningful when GOMAXPROCS is 1 (the pool then has a single worker).
+func TestRunNestedFromManyCallers(t *testing.T) {
+	callers := 4 * runtime.GOMAXPROCS(0)
+	const outer, inner, rounds = 8, 8, 50
+	var total atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					Run(outer, 4, func(int) {
+						Run(inner, 4, func(int) {
+							total.Add(1)
+							runtime.Gosched()
+						})
+					})
+				}
+			}()
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		buf := make([]byte, 1<<16)
+		t.Fatalf("nested Run deadlocked after %d of %d tasks\n%s",
+			total.Load(), callers*rounds*outer*inner, buf[:runtime.Stack(buf, true)])
+	}
+	if got, want := total.Load(), int64(callers*rounds*outer*inner); got != want {
+		t.Fatalf("nested Run executed %d of %d tasks", got, want)
 	}
 }
 

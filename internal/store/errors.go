@@ -23,6 +23,11 @@ var (
 	// ErrCorrupted: stored bytes failed an integrity check (checksum
 	// mismatch, truncated column, or damaged persistence file).
 	ErrCorrupted = errors.New("store: data corrupted")
+	// ErrJournalVersion: the directory's write-ahead journal was written
+	// in a format this build does not read (the v1 gob-payload journal,
+	// magic "APPRJNL1"). The journal may hold acknowledged operations,
+	// so no load mode — not even a lenient one — skips or overwrites it.
+	ErrJournalVersion = errors.New("store: unsupported journal format version")
 	// ErrTimeout: a node operation exceeded its deadline.
 	ErrTimeout = errors.New("store: operation timed out")
 	// ErrInvalid: the caller passed an invalid argument.

@@ -3,10 +3,10 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"sync"
 
@@ -23,16 +23,23 @@ import (
 // mid-append leaves a torn tail that replay detects and discards —
 // exactly the unacknowledged suffix.
 //
-// Layout: an 8-byte magic header, then records of
+// Layout (format v2): the 8-byte magic "APPRJNL2", then records of
 //
 //	| seq uint64 | type uint8 | len uint32 | crc32c uint32 | payload |
 //
-// with sequence numbers strictly increasing. The snapshot manifest
-// stores the last sequence it covers; replay skips records at or below
-// it, which makes journal truncation after Save a pure space
-// optimization rather than a correctness step.
+// little-endian, with sequence numbers strictly increasing; the CRC
+// covers the payload, whose fixed per-type layout is in record.go. The
+// snapshot manifest stores the last sequence it covers; replay skips
+// records at or below it, which makes journal truncation after Save a
+// pure space optimization rather than a correctness step.
 
-var journalMagic = []byte("APPRJNL1")
+var (
+	journalMagic = []byte("APPRJNL2")
+	// journalMagicV1 headed the gob-payload format this one replaced. It
+	// is recognised only to be refused by name (ErrJournalVersion): v1
+	// and v2 payloads differ, and no v1 reader is kept.
+	journalMagicV1 = []byte("APPRJNL1")
+)
 
 const (
 	journalFile      = "store.journal"
@@ -60,85 +67,34 @@ const (
 	recMigrateCommit
 )
 
-// Journal record payloads, gob-encoded.
-
-type putRecord struct {
-	Name     string
-	Segments []Segment
-}
-
-type updateRecord struct {
-	Name string
-	ID   int
-	Data []byte
-}
-
-type failRecord struct {
-	Nodes []int
-}
-
-// repairStartRecord opens a repair run. The run's ID is this record's
-// own sequence number; checkpoints and the done record carry it so
-// stale checkpoints from superseded runs are not mistaken for progress
-// of the live one.
-type repairStartRecord struct {
-	Failed []int
-}
-
-// repairStripeRecord is a repair commit checkpoint. It carries the
-// rebuilt column bytes, so a checkpointed stripe is durable the moment
-// the record is synced: recovery replays the columns onto the
-// replacement nodes and a resumed repair skips the stripe entirely.
-type repairStripeRecord struct {
-	ID     uint64
-	Object string
-	Stripe int
-	// Cols are the columns written back by this commit (rebuilt,
-	// healed, and re-encoded parity), keyed by node index.
-	Cols map[int][]byte
-	// Sums are the published CRC-32C column checksums for Cols.
-	Sums map[int]uint32
-	// Lost lists segment IDs this stripe abandoned (zero-filled
-	// unimportant data), so a resumed repair's report stays complete.
-	Lost []int
-}
-
-type repairDoneRecord struct {
-	ID       uint64
-	Unfailed []int
-}
-
-// migrateRecord carries one tier migration (both the begin and the
-// commit record). From lets recovery know which redundancy set a
-// dangling or committed migration was moving between without trusting
-// the in-memory tier, which died with the process.
-type migrateRecord struct {
-	Name     string
-	From, To int // tier.Level values
-}
-
-// journalRecord is one decoded record.
+// journalRecord is one validated record. Payload aliases the file image
+// it was parsed from.
 type journalRecord struct {
 	Seq     uint64
 	Type    recType
 	Payload []byte
 }
 
-func (r journalRecord) decode(v any) error {
-	return gob.NewDecoder(bytes.NewReader(r.Payload)).Decode(v)
+// decode unpacks the payload into v (a pointer to the record struct
+// matching Type); the decoded byte slices alias Payload.
+func (r journalRecord) decode(v recordDecoder) error {
+	return decodeRecord(r.Payload, v)
 }
 
-// journal is the append handle. Appends group-commit: concurrent
-// appenders enqueue their records and the first one in becomes the
-// batch leader, writing every queued record in one buffer and paying
-// one fsync for all of them; followers block until the leader's sync
-// covers their record. An append therefore still returns only once its
-// record is durable — the acknowledged-survives invariant is untouched
-// — but under N concurrent writers the fsync cost is amortized over
-// the whole batch instead of paid per record. The crash hooks thread
-// the chaos.Crasher's torn-append point through the middle of the
-// batch write and a batch-boundary point between the write and the
-// sync.
+// journal is the append handle. Appends group-commit: every appender
+// encodes its own record — header room, payload and CRC — into a pooled
+// buffer, then queues it; the first one in becomes the batch leader,
+// stamps sequence numbers into the queued buffers, writes them to the
+// file back to back and pays one fsync for all of them. Followers block
+// until the leader's sync covers their record. An append therefore
+// still returns only once its record is durable — the
+// acknowledged-survives invariant is untouched — but the serialising
+// and checksumming run in parallel across clients, outside the
+// leader's critical section, and under N concurrent writers the fsync
+// cost is amortized over the whole batch instead of paid per record.
+// The crash hooks thread the chaos.Crasher's torn-append point through
+// the middle of the batch write and a batch-boundary point between the
+// write and the sync.
 type journal struct {
 	path  string
 	crash *chaos.Crasher
@@ -156,23 +112,50 @@ type journal struct {
 	seq    uint64 // last durable (synced) sequence
 	queue  []*pendingAppend
 	leader bool
-	wbuf   []byte // leader's reusable batch buffer
+	// failed latches the first failed batch commit (I/O error or a
+	// simulated crash). The bytes that commit left at the file's tail
+	// are unknown, and replay stops at the first record it cannot
+	// verify, so anything appended behind them could be acknowledged
+	// and still lost: appends fail until rotate installs a fresh file.
+	failed error
 }
 
-// pendingAppend is one queued record waiting for a batch commit.
+// pendingAppend is one encoded record waiting for a batch commit.
 type pendingAppend struct {
-	t        recType
-	body     []byte
-	seq      uint64
-	err      error
-	finished bool
-	done     chan struct{}
+	rec  []byte // header + payload; the leader fills in the sequence
+	seq  uint64
+	err  error
+	done chan struct{}
 }
 
-// maxBatchBufRetain caps the batch buffer capacity the journal keeps
-// between commits; a pathological jumbo batch is served by a one-off
-// allocation instead of pinning its memory forever.
-const maxBatchBufRetain = 1 << 20
+// finishAll publishes one outcome to every waiter of ps. Only the batch
+// leader calls it, once per append.
+func finishAll(ps []*pendingAppend, err error) {
+	for _, p := range ps {
+		p.err = err
+		close(p.done)
+	}
+}
+
+// recBuf is a pooled record buffer. Buffers are recycled per
+// power-of-two size class, so a steady stream of Put-sized records
+// reuses the same few buffers instead of allocating (and zeroing) a
+// megabyte per append.
+type recBuf struct{ b []byte }
+
+var recBufPools [bits.UintSize]sync.Pool
+
+func getRecBuf(n int) *recBuf {
+	class := bits.Len(uint(n - 1))
+	if rb, ok := recBufPools[class].Get().(*recBuf); ok {
+		return rb
+	}
+	return &recBuf{b: make([]byte, 1<<class)}
+}
+
+func putRecBuf(rb *recBuf) {
+	recBufPools[bits.Len(uint(len(rb.b)-1))].Put(rb)
+}
 
 // lastSeq returns the last appended (durable) sequence number.
 func (j *journal) lastSeq() uint64 {
@@ -216,36 +199,77 @@ func openJournal(path string, validLen int64, lastSeq uint64, crash *chaos.Crash
 	return &journal{path: path, f: f, seq: lastSeq, crash: crash}, nil
 }
 
-// append encodes payload, queues the record for the next batch commit,
-// and returns once the batch holding it has been written and synced.
-// The returned sequence number is the operation's durability token:
-// once append returns, recovery is guaranteed to replay the record.
+// append encodes body as a type-t record, queues it for the next batch
+// commit, and returns once the batch holding it has been written and
+// synced. The returned sequence number is the operation's durability
+// token: once append returns, recovery is guaranteed to replay the
+// record.
+//
+// The payload bytes are copied exactly once, from the caller's memory
+// into the record buffer the leader hands to write(2); the CRC (which
+// covers the payload, not the sequence number) is computed here, before
+// queueing, so neither costs the leader anything.
 //
 // Concurrency shape: whichever appender finds no leader becomes one and
 // drains the queue batch by batch; appenders arriving while a commit is
 // in flight pile into the next batch. Sequence numbers are assigned in
 // batch order, so the on-disk order is exactly the commit order.
-func (j *journal) append(t recType, payload any) (uint64, error) {
-	body, err := encodeGob(payload)
-	if err != nil {
-		return 0, fmt.Errorf("store journal: encode: %w", err)
+func (j *journal) append(t recType, body recordBody) (uint64, error) {
+	n := body.size()
+	if n > maxJournalRecord {
+		return 0, fmt.Errorf("store journal: record of %d bytes exceeds limit", n)
 	}
-	if len(body) > maxJournalRecord {
-		return 0, fmt.Errorf("store journal: record of %d bytes exceeds limit", len(body))
-	}
-	p := &pendingAppend{t: t, body: body, done: make(chan struct{})}
+	rb := getRecBuf(journalHdrLen + n)
+	rec := rb.b[:journalHdrLen+n]
+	body.marshal(&recWriter{rec[journalHdrLen:]})
+	rec[8] = byte(t)
+	binary.LittleEndian.PutUint32(rec[9:13], uint32(n))
+	binary.LittleEndian.PutUint32(rec[13:17], colSum(rec[journalHdrLen:]))
+	p := &pendingAppend{rec: rec, done: make(chan struct{})}
 	j.mu.Lock()
+	if j.failed != nil {
+		err := j.failed
+		j.mu.Unlock()
+		putRecBuf(rb)
+		return 0, fmt.Errorf("store journal: refusing append after failed commit: %w", err)
+	}
 	j.queue = append(j.queue, p)
-	if j.leader {
+	if !j.leader {
+		j.lead()
+	} else {
 		// A leader is committing; it (or its successor loop) will pick
 		// this record up in a following batch.
 		j.mu.Unlock()
-		<-p.done
-		return p.seq, p.err
 	}
+	<-p.done
+	putRecBuf(rb)
+	return p.seq, p.err
+}
+
+// lead drains the queue as the batch leader. It is entered with j.mu
+// held and returns with it released. A commit that fails — or a leader
+// killed mid-commit by a chaos.Crasher panic, which stands in for the
+// whole process dying — fails its own batch and every appender still
+// queued behind it and gives leadership up, so no waiter is left
+// blocked on a leader that no longer exists.
+func (j *journal) lead() {
 	j.leader = true
+	var batch []*pendingAppend
+	abandon := func(err error) {
+		j.mu.Lock()
+		stranded := j.queue
+		j.queue, j.leader, j.failed = nil, false, err
+		j.mu.Unlock()
+		finishAll(batch, err)
+		finishAll(stranded, err)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			abandon(fmt.Errorf("store journal: crashed during batch commit"))
+			panic(r)
+		}
+	}()
 	for len(j.queue) > 0 {
-		var batch []*pendingAppend
 		if j.perOp {
 			batch, j.queue = j.queue[:1:1], j.queue[1:]
 		} else {
@@ -253,118 +277,78 @@ func (j *journal) append(t recType, payload any) (uint64, error) {
 		}
 		base := j.seq
 		j.mu.Unlock()
-		j.writeBatch(base, batch)
+		if err := j.writeBatch(base, batch); err != nil {
+			abandon(fmt.Errorf("store journal: %w", err))
+			return
+		}
+		j.batches.Inc()
+		j.records.Add(int64(len(batch)))
 		j.mu.Lock()
+		j.seq = base + uint64(len(batch))
+		finishAll(batch, nil)
 	}
 	j.leader = false
 	j.mu.Unlock()
-	<-p.done
-	return p.seq, p.err
 }
 
-// writeBatch commits one batch: records are laid out back to back in a
-// single buffer, written with the torn-append crash point between the
-// halves, synced once, and only then acknowledged to every waiter. A
-// crash before the sync leaves at most a prefix of whole records (plus
-// one torn one the CRC rejects) — each record is still individually
-// all-or-nothing, which is what the crash matrix asserts.
-func (j *journal) writeBatch(base uint64, batch []*pendingAppend) {
-	finish := func(err error) {
-		if err == nil {
-			j.mu.Lock()
-			j.seq = base + uint64(len(batch))
-			j.mu.Unlock()
-			j.batches.Inc()
-			j.records.Add(int64(len(batch)))
-		}
-		for _, p := range batch {
-			p.err = err
-			p.finished = true
-			close(p.done)
-		}
-	}
-	// A simulated crash (chaos.Crasher panic) kills the leader
-	// mid-commit; fail the batch's unacknowledged waiters before
-	// re-panicking so concurrent test harnesses observe the failed
-	// appends instead of hanging on goroutines a "dead process" owns.
-	defer func() {
-		if r := recover(); r != nil {
-			for _, p := range batch {
-				if !p.finished {
-					p.err = fmt.Errorf("store journal: crashed during batch commit")
-					p.finished = true
-					close(p.done)
-				}
-			}
-			panic(r)
-		}
-	}()
-	buf := j.wbuf[:0]
+// writeBatch commits one batch: the leader stamps consecutive sequence
+// numbers into the queued record buffers and writes them to the end of
+// the file back to back, with the torn-append crash point at the
+// batch's byte midpoint (inside a record or exactly between two), then
+// syncs once. A crash before the sync leaves at most a prefix of whole
+// records plus one torn one the CRC rejects — each record is still
+// individually all-or-nothing, which is what the crash matrix asserts.
+func (j *journal) writeBatch(base uint64, batch []*pendingAppend) error {
+	total := 0
 	for i, p := range batch {
 		p.seq = base + 1 + uint64(i)
-		var hdr [journalHdrLen]byte
-		binary.LittleEndian.PutUint64(hdr[0:8], p.seq)
-		hdr[8] = byte(p.t)
-		binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(p.body)))
-		binary.LittleEndian.PutUint32(hdr[13:17], colSum(p.body))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, p.body...)
+		binary.LittleEndian.PutUint64(p.rec[0:8], p.seq)
+		total += len(p.rec)
 	}
-	if cap(buf) <= maxBatchBufRetain {
-		j.wbuf = buf[:0]
-	}
-	j.batchBytes.Add(int64(len(buf)))
+	j.batchBytes.Add(int64(total))
 	if _, err := j.f.Seek(0, io.SeekEnd); err != nil {
-		finish(fmt.Errorf("store journal: %w", err))
-		return
+		return err
 	}
-	half := len(buf) / 2
-	if _, err := j.f.Write(buf[:half]); err != nil {
-		finish(fmt.Errorf("store journal: %w", err))
-		return
-	}
-	j.crash.Hit("journal.append.torn")
-	if _, err := j.f.Write(buf[half:]); err != nil {
-		finish(fmt.Errorf("store journal: %w", err))
-		return
+	half := total / 2
+	for _, p := range batch {
+		rec := p.rec
+		if half >= 0 && half < len(rec) { // the midpoint is in (or just before) this record
+			if half > 0 {
+				if _, err := j.f.Write(rec[:half]); err != nil {
+					return err
+				}
+			}
+			j.crash.Hit("journal.append.torn")
+			rec = rec[half:]
+		}
+		half -= len(p.rec)
+		if _, err := j.f.Write(rec); err != nil {
+			return err
+		}
 	}
 	j.crash.Hit("journal.batch.before-sync")
 	if err := j.f.Sync(); err != nil {
-		finish(fmt.Errorf("store journal: sync: %w", err))
-		return
+		return fmt.Errorf("sync: %w", err)
 	}
-	finish(nil)
+	return nil
 }
 
 // rotate rewrites the journal keeping only records with seq >
 // keepAfter (normally none, right after a Save), atomically. The
 // caller must have quiesced appends (Save holds the quiesce write
-// lock, so no batch leader can be mid-commit here).
+// lock, so no batch leader can be mid-commit here). The fresh file's
+// tail is known again, so a latched commit failure is cleared.
 func (j *journal) rotate(keepAfter uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	recs, _, _, err := readJournal(j.path)
-	if err != nil {
-		// An unreadable journal at rotation time is replaced outright:
-		// the snapshot that triggered the rotation already covers every
-		// acknowledged operation.
-		recs = nil
+	keep := journalMagic
+	// Nothing acknowledged lies past j.seq, so the usual rotation (right
+	// after a Save, keepAfter == j.seq) keeps nothing and does not read
+	// the file at all.
+	if keepAfter < j.seq {
+		keep = j.suffixAfter(keepAfter)
 	}
-	var buf bytes.Buffer
-	buf.Write(journalMagic)
-	for _, r := range recs {
-		if r.Seq <= keepAfter {
-			continue
-		}
-		var hdr [journalHdrLen]byte
-		binary.LittleEndian.PutUint64(hdr[0:8], r.Seq)
-		hdr[8] = byte(r.Type)
-		binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(r.Payload)))
-		binary.LittleEndian.PutUint32(hdr[13:17], colSum(r.Payload))
-		buf.Write(hdr[:])
-		buf.Write(r.Payload)
-	}
-	if err := writeFileAtomic(j.path, buf.Bytes()); err != nil {
+	if err := writeFileAtomic(j.path, keep); err != nil {
 		return fmt.Errorf("store journal: rotate: %w", err)
 	}
 	f, err := os.OpenFile(j.path, os.O_RDWR, 0o644)
@@ -375,7 +359,32 @@ func (j *journal) rotate(keepAfter uint64) error {
 	// old descriptor's close result cannot affect it.
 	_ = j.f.Close()
 	j.f = f
+	j.failed = nil
 	return nil
+}
+
+// suffixAfter returns a journal image holding the on-disk records with
+// seq > keepAfter. An unreadable journal yields an empty one: the
+// snapshot that triggered the rotation already covers every
+// acknowledged operation.
+func (j *journal) suffixAfter(keepAfter uint64) []byte {
+	raw, err := os.ReadFile(j.path)
+	if err != nil {
+		return journalMagic
+	}
+	recs, validLen, _, err := parseJournal(raw)
+	if err != nil {
+		return journalMagic
+	}
+	// Sequences ascend, so the kept records are the file's tail.
+	off := int64(len(journalMagic))
+	for _, r := range recs {
+		if r.Seq > keepAfter {
+			break
+		}
+		off += journalHdrLen + int64(len(r.Payload))
+	}
+	return append(append([]byte(nil), journalMagic...), raw[off:validLen]...)
 }
 
 func (j *journal) close() error {
@@ -392,12 +401,8 @@ func (j *journal) close() error {
 	return err
 }
 
-// readJournal reads and validates path. It returns the decoded records
-// of the longest valid prefix, the byte length of that prefix
-// (validLen — pass to openJournal so the tail is physically dropped),
-// and how many torn/corrupt tail bytes were discarded. A missing file
-// is an empty journal; a damaged header is ErrCorrupted (nothing after
-// it can be trusted).
+// readJournal reads and validates path; see parseJournal. A missing
+// file is an empty journal.
 func readJournal(path string) (recs []journalRecord, validLen int64, torn int64, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -406,7 +411,22 @@ func readJournal(path string) (recs []journalRecord, validLen int64, torn int64,
 		}
 		return nil, 0, 0, err
 	}
-	if len(raw) < len(journalMagic) || !bytes.Equal(raw[:len(journalMagic)], journalMagic) {
+	return parseJournal(raw)
+}
+
+// parseJournal validates a journal file image. It returns the records
+// of the longest valid prefix, the byte length of that prefix (validLen
+// — pass to openJournal so the tail is physically dropped), and how
+// many torn/corrupt tail bytes were discarded. The records' payloads
+// alias raw: nothing is copied. A damaged header is ErrCorrupted
+// (nothing after it can be trusted); a journal written in the retired
+// v1 (gob) format is ErrJournalVersion.
+func parseJournal(raw []byte) (recs []journalRecord, validLen int64, torn int64, err error) {
+	if bytes.HasPrefix(raw, journalMagicV1) {
+		return nil, 0, 0, fmt.Errorf("%w: %s is a v1 (gob) journal; this build reads %s only",
+			ErrJournalVersion, journalFile, journalMagic)
+	}
+	if !bytes.HasPrefix(raw, journalMagic) {
 		return nil, 0, 0, fmt.Errorf("%w: %s: bad journal header", ErrCorrupted, journalFile)
 	}
 	off := int64(len(journalMagic))
@@ -424,16 +444,17 @@ func readJournal(path string) (recs []journalRecord, validLen int64, torn int64,
 		if plen > maxJournalRecord || off+journalHdrLen+plen > size {
 			break // torn payload
 		}
-		payload := raw[off+journalHdrLen : off+journalHdrLen+plen]
+		end := off + journalHdrLen + plen
+		payload := raw[off+journalHdrLen : end : end]
 		if colSum(payload) != want {
 			break // corrupt record: discard it and everything after
 		}
 		if seq <= prevSeq || typ < recPut || typ > recMigrateCommit {
 			break // garbage that happens to checksum — not a valid record
 		}
-		recs = append(recs, journalRecord{Seq: seq, Type: typ, Payload: append([]byte(nil), payload...)})
+		recs = append(recs, journalRecord{Seq: seq, Type: typ, Payload: payload})
 		prevSeq = seq
-		off += journalHdrLen + plen
+		off = end
 	}
 	return recs, off, size - off, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -459,7 +460,12 @@ func OpenDurable(dir string, cfg Config) (*Store, *RecoverReport, error) {
 // journal in dir and routes future mutations through it.
 func (s *Store) attachJournal(dir string) error {
 	_, validLen, _, err := readJournal(filepath.Join(dir, journalFile))
-	if err != nil && !os.IsNotExist(err) {
+	if err != nil {
+		if !errors.Is(err, ErrCorrupted) {
+			// Unreadable or in another format version: it may hold
+			// acknowledged operations, so it is not ours to replace.
+			return fmt.Errorf("store journal: %w", err)
+		}
 		// A journal with a damaged header was already consumed (or
 		// rejected) by loadAndReplay; recreate it fresh here.
 		validLen = 0
@@ -591,8 +597,12 @@ func (s *Store) replayJournal(dir string, rep *RecoverReport, opts LoadOptions) 
 		// A journal whose header is damaged cannot be trusted at all.
 		// Strict loads surface it; lenient loads proceed from the
 		// snapshot alone (every acknowledged-but-unsnapshotted write is
-		// reported discarded rather than silently dropped).
-		if !opts.Lenient {
+		// reported discarded rather than silently dropped). A journal
+		// that is intact but in a format this build cannot read
+		// (ErrJournalVersion), or that could not be read at all, is
+		// refused either way: lenient means tolerating damage, not
+		// discarding data.
+		if !opts.Lenient || !errors.Is(err, ErrCorrupted) {
 			return fmt.Errorf("store load: journal: %w", err)
 		}
 		if fi, serr := os.Stat(filepath.Join(dir, journalFile)); serr == nil {

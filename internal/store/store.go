@@ -437,7 +437,7 @@ func (s *Store) crash(point string) {
 // journal attached (purely in-memory store) or during replay it is a
 // no-op. Callers hold quiesce.RLock so the append and the apply are one
 // unit relative to Save.
-func (s *Store) journalAppend(t recType, payload any) error {
+func (s *Store) journalAppend(t recType, payload recordBody) error {
 	if s.jn == nil || s.replaying {
 		return nil
 	}

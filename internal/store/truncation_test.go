@@ -117,27 +117,63 @@ func TestTruncationSweepManifest(t *testing.T) {
 	}
 }
 
+// TestTruncationSweepJournal cuts a journal holding three back-to-back
+// records (put, update, put — on disk a multi-record run looks the same
+// whether one batch wrote it or three) at every byte offset: inside a
+// header, inside a length table, inside payload bytes, exactly between
+// records. Replay must apply exactly the whole records before the cut,
+// so the store is always one of the four states the operations passed
+// through, never anything in between.
 func TestTruncationSweepJournal(t *testing.T) {
 	dir := t.TempDir()
 	segs := tinySegments()
+	updated := []byte{0x71, 0x72, 0x73, 0x74}
+	clip := []Segment{{ID: 7, Important: true, Data: []byte{9, 9, 9, 9, 9}}}
 	s, _, err := OpenDurable(dir, tinyConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The put lives only in the journal (the initial snapshot generation
-	// predates it), so replay decides whether "video" is visible.
+	// These operations live only in the journal (the initial snapshot
+	// generation predates them), so replay decides what is visible.
 	if err := s.Put("video", segs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.UpdateSegment("video", 1, updated); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("clip", clip); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	afterUpdate := append([]Segment(nil), segs...)
+	afterUpdate[1] = Segment{ID: 1, Data: updated}
 	path := filepath.Join(dir, journalFile)
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for off := 0; off < len(full); off++ {
+	whole, _, _, err := parseJournal(full)
+	if err != nil || len(whole) != 3 {
+		t.Fatalf("baseline: %d records, %v", len(whole), err)
+	}
+	// ends[i] is the offset just past record i.
+	var ends []int
+	end := len(journalMagic)
+	for _, r := range whole {
+		end += journalHdrLen + len(r.Payload)
+		ends = append(ends, end)
+	}
+	check := func(off int, loaded *Store, name string, want []Segment) {
+		t.Helper()
+		got, rep, err := loaded.Get(name)
+		if err != nil || len(rep.LostSegments) != 0 {
+			t.Fatalf("offset %d: get %s: %v %+v", off, name, err, rep)
+		}
+		checkSegments(t, got, want, nil)
+	}
+	for off := 0; off <= len(full); off++ {
 		if err := os.WriteFile(path, full[:off], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -156,34 +192,28 @@ func TestTruncationSweepJournal(t *testing.T) {
 			}
 			continue
 		}
-		// Past the header every truncation is a torn tail: the valid
-		// prefix replays and the object is either fully visible or fully
-		// absent — never partially applied.
+		// Past the header every truncation is a torn tail: the whole
+		// records before it replay, the torn one is all-or-nothing.
 		loaded, err := Load(dir)
 		if err != nil {
 			t.Fatalf("offset %d: strict load: %v", off, err)
 		}
-		if names := loaded.Objects(); len(names) == 1 {
-			got, rep, err := loaded.Get("video")
-			if err != nil || len(rep.LostSegments) != 0 {
-				t.Fatalf("offset %d: get: %v %+v", off, err, rep)
-			}
-			checkSegments(t, got, segs, nil)
-		} else if len(names) != 0 {
-			t.Fatalf("offset %d: unexpected objects %v", off, names)
+		applied := 0
+		for applied < len(ends) && ends[applied] <= off {
+			applied++
+		}
+		wantObjects := []int{0, 1, 1, 2}[applied]
+		if names := loaded.Objects(); len(names) != wantObjects {
+			t.Fatalf("offset %d (%d whole records): objects %v", off, applied, names)
+		}
+		switch applied {
+		case 1:
+			check(off, loaded, "video", segs)
+		case 2:
+			check(off, loaded, "video", afterUpdate)
+		case 3:
+			check(off, loaded, "video", afterUpdate)
+			check(off, loaded, "clip", clip)
 		}
 	}
-	// The full journal replays the whole put.
-	if err := os.WriteFile(path, full, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, rep, err := loaded.Get("video")
-	if err != nil || len(rep.LostSegments) != 0 {
-		t.Fatalf("get after restore: %v %+v", err, rep)
-	}
-	checkSegments(t, got, segs, nil)
 }
