@@ -19,10 +19,10 @@ vet:
 
 # errcheck-style gate: a call statement in the audited packages that
 # drops an error result fails the build (see cmd/errvet; `_ =` marks
-# deliberate discards). internal/net is in the set because network code
-# is where errors get dropped.
+# deliberate discards). internal/net and internal/resilience are in the
+# set because network and retry code is where errors get dropped.
 errvet:
-	$(GO) run ./cmd/errvet ./internal/store ./internal/net ./internal/tier ./internal/place
+	$(GO) run ./cmd/errvet ./internal/store ./internal/net ./internal/resilience ./internal/tier ./internal/place
 
 # vet plus staticcheck when it is installed (skipped silently offline —
 # the container image does not bundle it).
@@ -58,9 +58,13 @@ race:
 
 # Seeded chaos suite: full ingest → fault → degraded-read → repair →
 # scrub cycles through the fault injector, under the race detector.
-# Deterministic per seed; see internal/chaos and DESIGN.md §7.
+# Deterministic per seed; see internal/chaos and DESIGN.md §7. The retry/
+# hedge/health wrapper those cycles run through has its own scripted
+# tests (hedge races, cancellation, goroutine accounting), race-checked
+# here too.
 chaos:
 	$(GO) test -race -run 'TestChaos' ./internal/store/ ./internal/chaos/...
+	$(GO) test -race ./internal/resilience/
 
 # Socket-level chaos suite: the same exact-or-flagged invariants, but
 # the store's backend is a netio.Client talking to live TCP DataNodes
@@ -99,6 +103,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCoreRoundTrip -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzParseSchedule -fuzztime=$(FUZZTIME) ./internal/chaos/
 	$(GO) test -run=^$$ -fuzz=FuzzJournalRecords -fuzztime=$(FUZZTIME) ./internal/store/
+	$(GO) test -run=^$$ -fuzz=FuzzNetioDecode -fuzztime=$(FUZZTIME) ./internal/net/
 
 # Focused concurrency hammer, repeated under the race detector: Stats
 # vs the mutating paths, UpdateSegment vs FailNodes, the obs registry's

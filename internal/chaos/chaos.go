@@ -42,6 +42,13 @@ var (
 	// package — so every backend (in-memory, disk, network) reports the
 	// condition with one sentinel.
 	ErrColumnMissing = errors.New("chaos: column missing")
+	// ErrTimeout: a node operation exceeded its deadline. Errors that
+	// carry it also wrap the context error where the deadline came from
+	// a context, so errors.Is(err, context.DeadlineExceeded) holds too.
+	ErrTimeout = errors.New("chaos: operation timed out")
+	// ErrInvalid: a malformed request or argument (node out of range, a
+	// byte range outside the column). Retrying cannot help.
+	ErrInvalid = errors.New("chaos: invalid argument")
 )
 
 // OpKind classifies a node I/O operation.
@@ -557,7 +564,7 @@ func (in *Injector) ReadColumnAtCtx(ctx context.Context, node int, object string
 		col, err = in.inner.ReadColumn(node, object, stripe)
 		if err == nil {
 			if off < 0 || n < 0 || off+n > len(col) {
-				return nil, fmt.Errorf("chaos: readat range [%d,%d) outside column of %d bytes", off, off+n, len(col))
+				return nil, fmt.Errorf("%w: readat range [%d,%d) outside column of %d bytes", ErrInvalid, off, off+n, len(col))
 			}
 			data = append([]byte(nil), col[off:off+n]...)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sort"
 	"sync"
@@ -12,6 +11,7 @@ import (
 
 	"approxcode/internal/chaos"
 	"approxcode/internal/obs"
+	"approxcode/internal/resilience"
 )
 
 // Client is the SDK side of the data plane: it implements chaos.NodeIO,
@@ -19,41 +19,42 @@ import (
 // store.Store runs over live sockets by setting Config.Backend to a
 // *Client.
 //
-// All the self-healing machinery lives here, at the network edge:
+// The client is the resilience wrapper (bounded retries with jittered
+// backoff, hedged reads, per-op deadlines — see internal/resilience)
+// over a raw transport it owns:
 //   - per-node connection pools with jittered reconnect behind a
 //     fail-fast dial circuit (a down node costs nothing after the first
 //     refusal),
-//   - bounded retries with jittered exponential backoff,
-//   - hedged reads (a second connection races the straggler after
-//     HedgeDelay; the loser is cancelled and its connection dropped),
-//   - per-op deadlines flowing from contexts to socket deadlines,
-//   - a per-node health FSM (healthy → suspect → failed with probation
-//     and timed probe-through) so a dead DataNode degrades into erasure
-//     — the store plans reads around it (PR 7) — instead of every
-//     request burning its full deadline.
+//   - one framed exchange per attempt, the context's deadline and
+//     cancellation carried down to the socket (a hedge loser's
+//     connection is dropped),
+//   - socket failures classified into the NodeIO taxonomy (transportErr)
+//     so the wrapper knows what a retry can fix,
+//
+// plus a per-node health FSM with timed probe-through, so a black-holed
+// DataNode degrades into erasure — the store plans reads around it —
+// instead of every request burning its full deadline.
 type Client struct {
-	retry    RetryPolicy
+	retry    RetryPolicy       // the transport's share: dial timeout, redial backoff
+	policy   resilience.Policy // the wrapper's share, defaults filled
 	poolSize int
 	master   string
-	health   *edgeHealth
+	io       *resilience.IO
+	health   *resilience.Health
 	m        clientMetrics
 
 	mu     sync.RWMutex
 	pools  map[int]*pool
 	closed bool
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
 // RetryPolicy tunes the client's self-healing I/O. The zero value means
-// defaults. It deliberately mirrors the store's in-process policy — the
-// knobs moved to the edge, they did not change shape.
+// defaults.
 type RetryPolicy struct {
 	// MaxAttempts bounds tries per operation (default 4).
 	MaxAttempts int
 	// BaseBackoff is the first retry delay, doubling per attempt up to
-	// MaxBackoff, with full jitter (defaults 500µs, 10ms).
+	// MaxBackoff, each jittered into [d/2, d) (defaults 500µs, 10ms).
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 	// HedgeDelay launches a second read on another pooled connection if
@@ -72,30 +73,49 @@ type RetryPolicy struct {
 	Seed int64
 }
 
+// withDefaults fills the transport's own knobs and the seed; policy()
+// fills the rest.
 func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 500 * time.Microsecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 10 * time.Millisecond
-	}
-	if p.HedgeDelay == 0 {
-		p.HedgeDelay = 4 * time.Millisecond
-	}
-	if p.OpDeadline <= 0 {
-		p.OpDeadline = time.Second
-	}
 	if p.DialTimeout <= 0 {
 		p.DialTimeout = 500 * time.Millisecond
 	}
 	if p.RedialBackoff <= 0 {
 		p.RedialBackoff = 100 * time.Millisecond
 	}
+	if p.Seed == 0 {
+		p.Seed = time.Now().UnixNano()
+	}
 	return p
 }
+
+// policy is the wrapper's share of the knobs, wire-scale defaults
+// filled in.
+func (p RetryPolicy) policy() resilience.Policy {
+	return resilience.Policy{
+		MaxAttempts: p.MaxAttempts,
+		BaseBackoff: p.BaseBackoff,
+		MaxBackoff:  p.MaxBackoff,
+		HedgeDelay:  p.HedgeDelay,
+		OpDeadline:  p.OpDeadline,
+		Seed:        p.Seed,
+	}.WithDefaults(resilience.Policy{
+		MaxAttempts: 4,
+		BaseBackoff: 500 * time.Microsecond,
+		MaxBackoff:  10 * time.Millisecond,
+		HedgeDelay:  4 * time.Millisecond,
+		OpDeadline:  time.Second,
+	})
+}
+
+// HealthPolicy tunes the client's per-node health state machine (see
+// resilience.HealthPolicy for the fields). Zero fields default to
+// suspect after 3 consecutive failures, failed — requests fast-fail
+// without touching the network — after 10, healthy again after 5
+// consecutive successes, and one probe request per 250ms let through
+// to a failed node: a remote node may restart at any time, so a
+// successful probe walks it back through suspect probation instead of
+// leaving it failed until an operator steps in.
+type HealthPolicy = resilience.HealthPolicy
 
 // ClientConfig configures Dial.
 type ClientConfig struct {
@@ -136,23 +156,26 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		}
 	}
 	retry := cfg.Retry.withDefaults()
-	seed := retry.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
 	poolSize := cfg.PoolSize
 	if poolSize <= 0 {
 		poolSize = 2
 	}
 	c := &Client{
 		retry:    retry,
+		policy:   retry.policy(),
 		poolSize: poolSize,
 		master:   cfg.Master,
-		health:   newEdgeHealth(cfg.Health),
-		m:        newClientMetrics(cfg.Obs),
-		pools:    make(map[int]*pool),
-		rng:      rand.New(rand.NewSource(seed)),
+		health: resilience.NewHealth(cfg.Health.WithDefaults(HealthPolicy{
+			SuspectAfter: 3, FailAfter: 10, ProbationOK: 5, ProbeAfter: 250 * time.Millisecond,
+		})),
+		m:     newClientMetrics(cfg.Obs),
+		pools: make(map[int]*pool),
 	}
+	c.io = resilience.Wrap(wire{c}, c.policy, c.health, resilience.Metrics{
+		Retries:   c.m.retries,
+		Hedges:    c.m.hedges,
+		HedgeWins: c.m.hedgeWins,
+	})
 	for node, addr := range nodes {
 		c.pools[node] = &pool{addr: addr, max: poolSize}
 	}
@@ -228,7 +251,7 @@ func (c *Client) pool(node int) (*pool, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
-		return nil, ErrClosed
+		return nil, fmt.Errorf("%w: %w", chaos.ErrNodeUnavailable, ErrClosed)
 	}
 	p := c.pools[node]
 	if p == nil {
@@ -275,7 +298,7 @@ func (p *pool) get(ctx context.Context, c *Client) (net.Conn, error) {
 			return nil, fmt.Errorf("%w: dial %s: %w", ErrTimeout, p.addr, ctxErr)
 		}
 		p.mu.Lock()
-		p.nextDial = time.Now().Add(c.jitterHalf(c.retry.RedialBackoff))
+		p.nextDial = time.Now().Add(c.io.Jitter(c.retry.RedialBackoff))
 		p.mu.Unlock()
 		return nil, fmt.Errorf("%w: dial %s: %v", chaos.ErrNodeUnavailable, p.addr, err)
 	}
@@ -306,23 +329,6 @@ func (p *pool) closeIdle() {
 	for _, conn := range idle {
 		_ = conn.Close()
 	}
-}
-
-// jitterHalf returns a duration in [d/2, d).
-func (c *Client) jitterHalf(d time.Duration) time.Duration {
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
-	half := d / 2
-	return half + time.Duration(c.rng.Int63n(int64(half)+1))
-}
-
-// backoff returns the jittered delay before retry attempt n (1-based).
-func (c *Client) backoff(attempt int) time.Duration {
-	d := c.retry.BaseBackoff << (attempt - 1)
-	if d > c.retry.MaxBackoff || d <= 0 {
-		d = c.retry.MaxBackoff
-	}
-	return c.jitterHalf(d)
 }
 
 // roundTrip performs one framed request/response exchange on one
@@ -388,84 +394,60 @@ func (c *Client) roundTrip(ctx context.Context, node int, req []byte) ([]byte, e
 	}
 }
 
-// transportErr classifies a socket-level failure: deadline expiry maps
-// to ErrTimeout, everything else (reset, refused, EOF — e.g. a crashed
-// or chaos-dropped connection) to chaos.ErrNodeUnavailable so the
-// store treats the column as an erasure.
+// transportErr classifies a failure of an established connection:
+// deadline expiry maps to ErrTimeout, everything else (reset, EOF — a
+// stale pooled socket, a DataNode dying under the op, a chaos-dropped
+// connection) to chaos.ErrTransient: the exchange broke, which a retry
+// on a fresh connection can fix. Whether the node is actually down is
+// the next dial's verdict (refused → chaos.ErrNodeUnavailable).
 func (c *Client) transportErr(ctx context.Context, node int, verb string, err error) error {
-	if ctxErr := ctx.Err(); ctxErr != nil {
+	ctxErr := ctx.Err()
+	var nerr net.Error
+	if ctxErr == nil && errors.As(err, &nerr) && nerr.Timeout() {
+		// The only socket deadline is the context's, and it can fire a
+		// moment before the context reports itself expired.
+		ctxErr = context.DeadlineExceeded
+	}
+	if ctxErr != nil {
 		return fmt.Errorf("%w: node %d %s: %w", ErrTimeout, node, verb, ctxErr)
 	}
-	var nerr net.Error
-	if errors.As(err, &nerr) && nerr.Timeout() {
-		return fmt.Errorf("%w: node %d %s: %v", ErrTimeout, node, verb, err)
-	}
-	return fmt.Errorf("%w: node %d %s: %v", chaos.ErrNodeUnavailable, node, verb, err)
+	return fmt.Errorf("%w: node %d %s: %v", chaos.ErrTransient, node, verb, err)
 }
 
-// attempt runs one try of an operation, hedged for reads: if the
-// primary leg has not answered within HedgeDelay, a second leg races it
-// on another connection and the first response wins. The losing leg is
-// cancelled and its connection dropped.
-func (c *Client) attempt(ctx context.Context, node int, req []byte, hedge bool) ([]byte, error) {
-	if !hedge || c.retry.HedgeDelay <= 0 {
-		return c.roundTrip(ctx, node, req)
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		data   []byte
-		err    error
-		backup bool
-	}
-	ch := make(chan result, 2)
-	launch := func(backup bool) {
-		go func() {
-			data, err := c.roundTrip(hctx, node, req)
-			ch <- result{data, err, backup}
-		}()
-	}
-	launch(false)
-	timer := time.NewTimer(c.retry.HedgeDelay)
-	defer timer.Stop()
-	outstanding := 1
-	hedged := false
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			outstanding--
-			if r.err == nil {
-				if r.backup {
-					c.m.hedgeWins.Inc()
-				}
-				return r.data, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if !hedged || outstanding == 0 {
-				// Primary failed before the hedge fired (fail fast and
-				// let the retry loop decide), or both legs failed.
-				return nil, firstErr
-			}
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				outstanding++
-				c.m.hedges.Inc()
-				launch(true)
-			}
-		}
-	}
+// wire is the raw transport under the resilience wrapper: one framed
+// exchange per call, no retries, failures already classified.
+type wire struct{ c *Client }
+
+func (w wire) ReadColumnCtx(ctx context.Context, node int, object string, stripe int) ([]byte, error) {
+	return w.c.roundTrip(ctx, node, encodeReadReq(node, object, stripe))
 }
 
-// do is the operation runner: health gate, default deadline, bounded
-// retries with jittered backoff around attempt().
-func (c *Client) do(ctx context.Context, node int, req []byte, hedge bool, rm *rpcMetrics) ([]byte, error) {
+func (w wire) ReadColumnAtCtx(ctx context.Context, node int, object string, stripe, off, n int) ([]byte, error) {
+	return w.c.roundTrip(ctx, node, encodeReadAtReq(node, object, stripe, off, n))
+}
+
+func (w wire) WriteColumnCtx(ctx context.Context, node int, object string, stripe int, data []byte) error {
+	_, err := w.c.roundTrip(ctx, node, encodeWriteReq(node, object, stripe, data))
+	return err
+}
+
+// rpc accounts one client operation (counted once, however many
+// attempts the wrapper makes) and is the health FSM's owner side: the
+// gate in front of op, the success report after it.
+func (c *Client) rpc(node int, rm *rpcMetrics, op func() ([]byte, error)) (data []byte, err error) {
 	rm.total.Inc()
 	t0 := time.Now()
-	data, err := c.doInner(ctx, node, req, hedge)
+	switch {
+	case node < 0:
+		err = fmt.Errorf("%w: negative node %d", ErrInvalid, node)
+	case !c.health.Allow(node):
+		c.m.fastFails.Inc()
+		err = fmt.Errorf("%w: node %d health-failed at client", chaos.ErrNodeUnavailable, node)
+	default:
+		if data, err = op(); err == nil {
+			c.health.OK(node)
+		}
+	}
 	rm.seconds.Observe(time.Since(t0))
 	if err != nil {
 		rm.errors.Inc()
@@ -475,80 +457,27 @@ func (c *Client) do(ctx context.Context, node int, req []byte, hedge bool, rm *r
 	return data, nil
 }
 
-func (c *Client) doInner(ctx context.Context, node int, req []byte, hedge bool) ([]byte, error) {
-	if node < 0 {
-		return nil, fmt.Errorf("%w: negative node %d", ErrInvalid, node)
-	}
-	if !c.health.allow(node) {
-		c.m.fastFails.Inc()
-		return nil, fmt.Errorf("%w: node %d health-failed at client", chaos.ErrNodeUnavailable, node)
-	}
-	if _, ok := ctx.Deadline(); !ok && c.retry.OpDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.retry.OpDeadline)
-		defer cancel()
-	}
-	var lastErr error
-	for attempt := 1; attempt <= c.retry.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			c.m.retries.Inc()
-			if err := sleepCtx(ctx, c.backoff(attempt-1)); err != nil {
-				break
-			}
-		}
-		data, err := c.attempt(ctx, node, req, hedge)
-		if err == nil {
-			c.health.ok(node)
-			return data, nil
-		}
-		lastErr = err
-		if errors.Is(err, chaos.ErrColumnMissing) {
-			// Not a node fault: the column was never written (e.g. the
-			// node was down during ingest). No retry, no health penalty.
-			return nil, err
-		}
-		if errors.Is(err, ErrInvalid) || errors.Is(err, ErrProtocol) || errors.Is(err, ErrClosed) {
-			return nil, err
-		}
-		c.health.fail(node)
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("%w: node %d: %w", ErrTimeout, node, ctx.Err())
-	}
-	return nil, lastErr
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // --- chaos.CtxIO ---
 
 // ReadColumnCtx implements chaos.CtxIO.
 func (c *Client) ReadColumnCtx(ctx context.Context, node int, object string, stripe int) ([]byte, error) {
-	return c.do(ctx, node, encodeReadReq(node, object, stripe), true, &c.m.read)
+	return c.rpc(node, &c.m.read, func() ([]byte, error) {
+		return c.io.ReadColumnCtx(ctx, node, object, stripe)
+	})
 }
 
 // ReadColumnAtCtx implements chaos.CtxIO.
 func (c *Client) ReadColumnAtCtx(ctx context.Context, node int, object string, stripe, off, n int) ([]byte, error) {
-	return c.do(ctx, node, encodeReadAtReq(node, object, stripe, off, n), true, &c.m.readAt)
+	return c.rpc(node, &c.m.readAt, func() ([]byte, error) {
+		return c.io.ReadColumnAtCtx(ctx, node, object, stripe, off, n)
+	})
 }
 
-// WriteColumnCtx implements chaos.CtxIO. Writes are never hedged — two
-// racing writes of the same column are harmless (idempotent payload)
-// but wasteful.
+// WriteColumnCtx implements chaos.CtxIO.
 func (c *Client) WriteColumnCtx(ctx context.Context, node int, object string, stripe int, data []byte) error {
-	_, err := c.do(ctx, node, encodeWriteReq(node, object, stripe, data), false, &c.m.write)
+	_, err := c.rpc(node, &c.m.write, func() ([]byte, error) {
+		return nil, c.io.WriteColumnCtx(ctx, node, object, stripe, data)
+	})
 	return err
 }
 
@@ -574,9 +503,9 @@ func (c *Client) WriteColumn(node int, object string, stripe int, data []byte) e
 func (c *Client) Ping(ctx context.Context, node int) error {
 	c.m.ping.total.Inc()
 	t0 := time.Now()
-	if _, ok := ctx.Deadline(); !ok && c.retry.OpDeadline > 0 {
+	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.retry.OpDeadline)
+		ctx, cancel = context.WithTimeout(ctx, c.policy.OpDeadline)
 		defer cancel()
 	}
 	_, err := c.roundTrip(ctx, node, newEnc(msgPingReq).b)

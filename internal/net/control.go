@@ -108,8 +108,16 @@ func FetchNodeMap(master string, timeout time.Duration) (map[int]NodeInfo, error
 	if err != nil {
 		return nil, err
 	}
+	return decodeNodeMap(d)
+}
+
+// decodeNodeMap decodes a msgNodeMapResp body. The announced count only
+// sizes the map as far as the body could actually hold entries (25
+// bytes each at the least), so a lying count cannot buy a huge
+// allocation.
+func decodeNodeMap(d *dec) (map[int]NodeInfo, error) {
 	n := int(d.u32())
-	out := make(map[int]NodeInfo, n)
+	out := make(map[int]NodeInfo, min(n, d.remaining()/25))
 	for i := 0; i < n && d.err == nil; i++ {
 		node := int(d.u32())
 		info := NodeInfo{State: NodeState(d.u8())}
@@ -143,8 +151,14 @@ func ListObjects(master string, timeout time.Duration) (map[string]int, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeObjects(d)
+}
+
+// decodeObjects decodes a msgObjectsResp body (8 bytes per entry at the
+// least; see decodeNodeMap for the sizing rule).
+func decodeObjects(d *dec) (map[string]int, error) {
 	n := int(d.u32())
-	out := make(map[string]int, n)
+	out := make(map[string]int, min(n, d.remaining()/8))
 	for i := 0; i < n && d.err == nil; i++ {
 		name := d.str()
 		out[name] = int(d.u32())

@@ -7,12 +7,12 @@
 // client SDK implementing chaos.NodeIO + PartialReader + CtxIO so a
 // store.Store works against live sockets by setting Config.Backend.
 //
-// The retry/backoff/hedged-read/health machinery that PR 3 built into
-// the store core runs here at the network edge: per-op deadlines travel
-// as contexts down to connection deadlines, connection pools redial
-// with jittered backoff behind a fail-fast circuit, and a down DataNode
-// degrades into planned degraded reads (PR 7) instead of client-visible
-// errors.
+// The client is the stack's one retry/backoff/hedged-read/health
+// wrapper (internal/resilience) over a socket transport: per-op
+// deadlines travel as contexts down to connection deadlines, connection
+// pools redial with jittered backoff behind a fail-fast circuit, and a
+// down DataNode degrades into planned degraded reads (PR 7) instead of
+// client-visible errors.
 //
 // Transport framing is deliberately checksum-free for data payloads:
 // column integrity is end-to-end (the store's CRC-32C per column and
@@ -73,19 +73,23 @@ const (
 	codeUnavailable uint8 = 1 // chaos.ErrNodeUnavailable
 	codeMissing     uint8 = 2 // chaos.ErrColumnMissing
 	codeTransient   uint8 = 3 // chaos.ErrTransient
-	codeTimeout     uint8 = 4 // ErrTimeout
-	codeInvalid     uint8 = 5 // ErrInvalid
+	codeTimeout     uint8 = 4 // chaos.ErrTimeout
+	codeInvalid     uint8 = 5 // chaos.ErrInvalid
 	codeInternal    uint8 = 6 // anything else; message preserved
 )
 
-// Sentinel errors of the network layer.
+// Sentinel errors of the network layer. ErrTimeout and ErrInvalid are
+// the NodeIO contract's own values (wire codes 4 and 5 decode to
+// them), so errors.Is gives one answer whether a store runs over this
+// client or in process.
 var (
 	// ErrTimeout: an RPC exceeded its deadline (also wraps the context
 	// error, so errors.Is(err, context.DeadlineExceeded) holds where the
-	// deadline came from a context).
-	ErrTimeout = errors.New("netio: operation timed out")
-	// ErrInvalid: a malformed request or argument.
-	ErrInvalid = errors.New("netio: invalid argument")
+	// deadline came from a context). Alias of chaos.ErrTimeout.
+	ErrTimeout = chaos.ErrTimeout
+	// ErrInvalid: a malformed request or argument. Alias of
+	// chaos.ErrInvalid.
+	ErrInvalid = chaos.ErrInvalid
 	// ErrProtocol: a malformed or oversized frame; the connection is
 	// poisoned and must be dropped.
 	ErrProtocol = errors.New("netio: protocol error")
@@ -189,7 +193,7 @@ func (d *dec) u64() uint64 {
 
 func (d *dec) str() string {
 	n := int(d.u32())
-	if d.err != nil || n < 0 || d.off+n > len(d.b) {
+	if d.err != nil || n < 0 || n > len(d.b)-d.off {
 		d.fail()
 		return ""
 	}
@@ -200,7 +204,7 @@ func (d *dec) str() string {
 
 func (d *dec) bytes() []byte {
 	n := int(d.u32())
-	if d.err != nil || n < 0 || d.off+n > len(d.b) {
+	if d.err != nil || n < 0 || n > len(d.b)-d.off {
 		d.fail()
 		return nil
 	}

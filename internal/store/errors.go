@@ -9,9 +9,9 @@ import (
 
 // Typed error taxonomy of the storage layer. Everything the store
 // returns wraps one of these sentinels, so callers dispatch with
-// errors.Is instead of string matching. ErrNodeUnavailable and
-// ErrUnrecoverable are aliases of the chaos and core sentinels, so a
-// single errors.Is check works across the whole stack.
+// errors.Is instead of string matching. ErrNodeUnavailable, ErrTimeout,
+// ErrInvalid and ErrUnrecoverable are aliases of the chaos and core
+// sentinels, so a single errors.Is check works across the whole stack.
 var (
 	// ErrExists: the object name is already stored.
 	ErrExists = errors.New("store: object already exists")
@@ -28,10 +28,6 @@ var (
 	// magic "APPRJNL1"). The journal may hold acknowledged operations,
 	// so no load mode — not even a lenient one — skips or overwrites it.
 	ErrJournalVersion = errors.New("store: unsupported journal format version")
-	// ErrTimeout: a node operation exceeded its deadline.
-	ErrTimeout = errors.New("store: operation timed out")
-	// ErrInvalid: the caller passed an invalid argument.
-	ErrInvalid = errors.New("store: invalid argument")
 	// ErrRepairActive: a repair run is already in progress; wait for it
 	// (or abort it) before starting another.
 	ErrRepairActive = errors.New("store: repair already active")
@@ -51,6 +47,13 @@ var (
 	// ErrNodeUnavailable: I/O against a crashed or health-failed node.
 	// Alias of chaos.ErrNodeUnavailable.
 	ErrNodeUnavailable = chaos.ErrNodeUnavailable
+	// ErrTimeout: a node operation exceeded its deadline. Alias of
+	// chaos.ErrTimeout — the same value a netio.Client returns, so the
+	// check works identically local or remote.
+	ErrTimeout = chaos.ErrTimeout
+	// ErrInvalid: the caller passed an invalid argument. Alias of
+	// chaos.ErrInvalid.
+	ErrInvalid = chaos.ErrInvalid
 	// ErrUnrecoverable: a codeword exceeded its fault tolerance; the
 	// data is gone from the coding layer's point of view and must be
 	// routed to the video recovery module. Alias of

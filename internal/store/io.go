@@ -2,12 +2,12 @@ package store
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"time"
 
 	"approxcode/internal/chaos"
+	"approxcode/internal/resilience"
 )
 
 // castagnoli is the CRC-32C polynomial table used for all shard
@@ -17,47 +17,51 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // colSum is the checksum stored per (stripe, node) column.
 func colSum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
-// RetryPolicy tunes the self-healing I/O path: retries with
-// exponential backoff + jitter, deadline-bounded attempts, and hedged
-// reads against stragglers.
-type RetryPolicy struct {
-	// MaxAttempts bounds read/write attempts per column op (default 4).
-	MaxAttempts int
-	// BaseBackoff is the first retry delay; it doubles per attempt up
-	// to MaxBackoff, with full jitter (defaults 200µs / 5ms).
-	BaseBackoff, MaxBackoff time.Duration
-	// HedgeDelay is how long a read waits before firing a second
-	// (hedged) attempt at the same node; the first response wins.
-	// Zero uses the default (2ms); negative disables hedging.
-	HedgeDelay time.Duration
-	// OpDeadline bounds the total time spent on one column operation,
-	// including retries and backoff (default 500ms).
-	OpDeadline time.Duration
-	// Seed seeds the jitter PRNG (deterministic backoff schedules for
-	// tests).
-	Seed int64
+// RetryPolicy tunes the self-healing I/O path the store composes in
+// front of a Config.WrapIO stack (see resilience.Policy for the
+// fields). Zero fields default to 4 attempts, 200µs base / 5ms max
+// backoff, a 2ms hedge delay (negative disables hedging) and a 500ms
+// op deadline.
+type RetryPolicy = resilience.Policy
+
+var defaultRetry = RetryPolicy{
+	MaxAttempts: 4,
+	BaseBackoff: 200 * time.Microsecond,
+	MaxBackoff:  5 * time.Millisecond,
+	HedgeDelay:  2 * time.Millisecond,
+	OpDeadline:  500 * time.Millisecond,
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 200 * time.Microsecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 5 * time.Millisecond
-	}
-	switch {
-	case p.HedgeDelay == 0:
-		p.HedgeDelay = 2 * time.Millisecond
-	case p.HedgeDelay < 0:
-		p.HedgeDelay = 0
-	}
-	if p.OpDeadline <= 0 {
-		p.OpDeadline = 500 * time.Millisecond
-	}
-	return p
+// HealthPolicy tunes the per-node health state machine.
+type HealthPolicy struct {
+	// SuspectAfter consecutive I/O errors demote a healthy node to
+	// suspect (default 3).
+	SuspectAfter int
+	// FailAfter consecutive I/O errors demote a node to failed
+	// (default 10).
+	FailAfter int
+	// ProbationOK successful operations while suspect promote the node
+	// back to healthy (default 5).
+	ProbationOK int
+}
+
+// HealthState is a node's position in the health state machine the
+// self-healing read path drives (see resilience.State).
+type HealthState = resilience.State
+
+// Health states.
+const (
+	HealthHealthy = resilience.Healthy
+	HealthSuspect = resilience.Suspect
+	HealthFailed  = resilience.Failed
+)
+
+// newHealth builds the store's tracker: a failed node stays failed
+// until a repair resets it (no probe-through — ProbeAfter stays zero).
+func newHealth(p HealthPolicy) *resilience.Health {
+	return resilience.NewHealth(resilience.HealthPolicy{
+		SuspectAfter: p.SuspectAfter, FailAfter: p.FailAfter, ProbationOK: p.ProbationOK,
+	}.WithDefaults(resilience.HealthPolicy{SuspectAfter: 3, FailAfter: 10, ProbationOK: 5}))
 }
 
 // memIO is the store's in-memory DataNode backend — the innermost
@@ -139,33 +143,96 @@ func (m *memIO) WriteColumn(node int, object string, stripe int, data []byte) er
 	return nil
 }
 
-// ioResult carries one attempt's outcome; hedge marks the backup
-// attempt so hedge wins can be counted.
-type ioResult struct {
-	data  []byte
-	err   error
-	hedge bool
+// attemptIO is one attempt against the node I/O stack — the backend,
+// under Config.WrapIO's injector or tap when one is set — with the
+// store's per-attempt accounting: every call is an attempt, only a
+// successful one moves bytes. It is a chaos.CtxIO whatever the stack
+// below is: the context is passed on when the stack takes one.
+type attemptIO struct {
+	m  *storeMetrics
+	io chaos.NodeIO
+	// cio and pr are the stack's optional extensions, nil when absent:
+	// without either a partial read moves (and accounts) the whole
+	// column.
+	cio chaos.CtxIO
+	pr  chaos.PartialReader
 }
 
-// jitter draws a full-jitter delay in [d/2, d).
-func (s *Store) jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
+func newAttemptIO(io chaos.NodeIO, m *storeMetrics) *attemptIO {
+	a := &attemptIO{m: m, io: io}
+	a.cio, _ = io.(chaos.CtxIO)
+	a.pr, _ = io.(chaos.PartialReader)
+	return a
+}
+
+func (a *attemptIO) ReadColumnCtx(ctx context.Context, node int, object string, stripe int) ([]byte, error) {
+	t := a.m.nodeRead.Start()
+	var data []byte
+	var err error
+	if a.cio != nil {
+		data, err = a.cio.ReadColumnCtx(ctx, node, object, stripe)
+	} else {
+		data, err = a.io.ReadColumn(node, object, stripe)
 	}
-	s.rngMu.Lock()
-	j := time.Duration(s.rng.Int63n(int64(d)/2 + 1))
-	s.rngMu.Unlock()
-	return d/2 + j
+	t.Stop()
+	a.m.readAttempts.Inc()
+	if err == nil {
+		a.m.readBytes.Add(int64(len(data)))
+	}
+	return data, err
 }
 
-// readColumn reads one column through the (possibly fault-injected)
-// NodeIO with the full self-healing pipeline: health gating, retries
-// with exponential backoff + jitter, hedged attempts against
-// stragglers, and an overall deadline. Errors are recorded against the
-// node's health state.
-func (s *Store) readColumn(node int, object string, stripe int) ([]byte, error) {
-	if s.health.state(node) == HealthFailed {
-		return nil, fmt.Errorf("%w: node %d health-failed", ErrNodeUnavailable, node)
+func (a *attemptIO) ReadColumnAtCtx(ctx context.Context, node int, object string, stripe, off, n int) ([]byte, error) {
+	t := a.m.nodeRead.Start()
+	defer t.Stop()
+	a.m.readAttempts.Inc()
+	if a.cio == nil && a.pr == nil {
+		col, err := a.io.ReadColumn(node, object, stripe)
+		if err != nil {
+			return nil, err
+		}
+		a.m.readBytes.Add(int64(len(col)))
+		if off < 0 || n < 0 || off+n > len(col) {
+			return nil, fmt.Errorf("%w: range [%d,%d) outside column of %d bytes",
+				ErrInvalid, off, off+n, len(col))
+		}
+		return col[off : off+n], nil
+	}
+	var data []byte
+	var err error
+	if a.cio != nil {
+		data, err = a.cio.ReadColumnAtCtx(ctx, node, object, stripe, off, n)
+	} else {
+		data, err = a.pr.ReadColumnAt(node, object, stripe, off, n)
+	}
+	if err == nil {
+		a.m.partialReads.Inc()
+		a.m.partialReadBytes.Add(int64(len(data)))
+		a.m.readBytes.Add(int64(len(data)))
+	}
+	return data, err
+}
+
+func (a *attemptIO) WriteColumnCtx(ctx context.Context, node int, object string, stripe int, data []byte) error {
+	t := a.m.nodeWrite.Start()
+	var err error
+	if a.cio != nil {
+		err = a.cio.WriteColumnCtx(ctx, node, object, stripe, data)
+	} else {
+		err = a.io.WriteColumn(node, object, stripe, data)
+	}
+	t.Stop()
+	a.m.writeAttempts.Inc()
+	if err == nil {
+		a.m.writeBytes.Add(int64(len(data)))
+	}
+	return err
+}
+
+// readGate refuses a read the store already knows is an erasure.
+func (s *Store) readGate(node int) error {
+	if !s.health.Allow(node) {
+		return fmt.Errorf("%w: node %d health-failed", ErrNodeUnavailable, node)
 	}
 	if s.extBackend && s.nodeFailed(node) {
 		// The administrative fail set lives in the store; an external
@@ -173,251 +240,48 @@ func (s *Store) readColumn(node int, object string, stripe int) ([]byte, error) 
 		// here. The built-in memIO checks the flag itself — after the
 		// injector has seen the op — which keeps seeded chaos schedules
 		// byte-identical to previous releases.
-		return nil, fmt.Errorf("%w: node %d administratively failed", ErrNodeUnavailable, node)
+		return fmt.Errorf("%w: node %d administratively failed", ErrNodeUnavailable, node)
 	}
-	if s.plainIO {
-		// Fast path: no injector wrapping, so the only failure modes
-		// are crashes and missing columns — neither is retryable.
-		t := s.metrics.nodeRead.Start()
-		data, err := s.io.ReadColumn(node, object, stripe)
-		t.Stop()
-		s.metrics.readAttempts.Inc()
-		if err == nil {
-			s.metrics.readBytes.Add(int64(len(data)))
-			s.health.ok(node)
-		}
-		return data, err
-	}
-	deadline := time.Now().Add(s.retry.OpDeadline)
-	backoff := s.retry.BaseBackoff
-	var lastErr error
-	for attempt := 0; attempt < s.retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			d := s.jitter(backoff)
-			if time.Now().Add(d).After(deadline) {
-				break
-			}
-			time.Sleep(d)
-			backoff *= 2
-			if backoff > s.retry.MaxBackoff {
-				backoff = s.retry.MaxBackoff
-			}
-			s.metrics.retries.Inc()
-		}
-		data, err := s.attemptRead(node, object, stripe, deadline)
-		if err == nil {
-			s.health.ok(node)
-			return data, nil
-		}
-		if errors.Is(err, errColumnMissing) || errors.Is(err, ErrNodeUnavailable) {
-			// Permanent for this read: nothing stored, or the node is
-			// crashed. Not a health event and not worth retrying.
-			return nil, err
-		}
-		lastErr = err
-		s.metrics.readErrors.Inc()
-		if s.health.fail(node) == HealthFailed {
-			break
-		}
-	}
-	return nil, lastErr
+	return nil
 }
 
-// readColumnAt reads a byte range of one column through the NodeIO.
-// When the I/O stack supports partial reads (memIO always does; a
-// chaos.Injector passes them through) only the requested range moves;
-// otherwise the whole column is read and sliced. Retries mirror
-// readColumn's policy without hedging — a partial read is already the
-// cheap path, a straggler just retries.
+// readColumn reads one column. Whatever comes back as an error is an
+// erasure to the caller; what self-healing there is — retries, hedged
+// reads, a deadline — sits in s.io (see Open).
+func (s *Store) readColumn(node int, object string, stripe int) ([]byte, error) {
+	if err := s.readGate(node); err != nil {
+		return nil, err
+	}
+	data, err := s.io.ReadColumnCtx(context.Background(), node, object, stripe)
+	if err == nil {
+		s.health.OK(node)
+	}
+	return data, err
+}
+
+// readColumnAt reads a byte range of one column. When the I/O stack
+// supports partial reads (memIO always does; a chaos.Injector passes
+// them through) only the requested range moves; otherwise the whole
+// column is read and sliced.
 func (s *Store) readColumnAt(node int, object string, stripe, off, n int) ([]byte, error) {
-	if s.health.state(node) == HealthFailed {
-		return nil, fmt.Errorf("%w: node %d health-failed", ErrNodeUnavailable, node)
+	if err := s.readGate(node); err != nil {
+		return nil, err
 	}
-	if s.extBackend && s.nodeFailed(node) {
-		return nil, fmt.Errorf("%w: node %d administratively failed", ErrNodeUnavailable, node)
+	data, err := s.io.ReadColumnAtCtx(context.Background(), node, object, stripe, off, n)
+	if err == nil {
+		s.health.OK(node)
 	}
-	ctx, cancelCtx := context.WithDeadline(context.Background(), time.Now().Add(s.retry.OpDeadline))
-	defer cancelCtx()
-	cio, hasCtx := s.io.(chaos.CtxIO)
-	pr, partial := s.io.(chaos.PartialReader)
-	attempt := func() ([]byte, error) {
-		t := s.metrics.nodeRead.Start()
-		defer t.Stop()
-		s.metrics.readAttempts.Inc()
-		if hasCtx || partial {
-			var data []byte
-			var err error
-			if hasCtx {
-				data, err = cio.ReadColumnAtCtx(ctx, node, object, stripe, off, n)
-			} else {
-				data, err = pr.ReadColumnAt(node, object, stripe, off, n)
-			}
-			if err == nil {
-				s.metrics.partialReads.Inc()
-				s.metrics.partialReadBytes.Add(int64(len(data)))
-				s.metrics.readBytes.Add(int64(len(data)))
-			}
-			return data, err
-		}
-		col, err := s.io.ReadColumn(node, object, stripe)
-		if err != nil {
-			return nil, err
-		}
-		s.metrics.readBytes.Add(int64(len(col)))
-		if off < 0 || n < 0 || off+n > len(col) {
-			return nil, fmt.Errorf("%w: range [%d,%d) outside column of %d bytes",
-				ErrInvalid, off, off+n, len(col))
-		}
-		return col[off : off+n], nil
-	}
-	if s.plainIO {
-		data, err := attempt()
-		if err == nil {
-			s.health.ok(node)
-		}
-		return data, err
-	}
-	deadline := time.Now().Add(s.retry.OpDeadline)
-	backoff := s.retry.BaseBackoff
-	var lastErr error
-	for try := 0; try < s.retry.MaxAttempts; try++ {
-		if try > 0 {
-			d := s.jitter(backoff)
-			if time.Now().Add(d).After(deadline) {
-				break
-			}
-			time.Sleep(d)
-			backoff *= 2
-			if backoff > s.retry.MaxBackoff {
-				backoff = s.retry.MaxBackoff
-			}
-			s.metrics.retries.Inc()
-		}
-		data, err := attempt()
-		if err == nil {
-			s.health.ok(node)
-			return data, nil
-		}
-		if errors.Is(err, errColumnMissing) || errors.Is(err, ErrNodeUnavailable) || errors.Is(err, ErrInvalid) {
-			return nil, err
-		}
-		lastErr = err
-		s.metrics.readErrors.Inc()
-		if s.health.fail(node) == HealthFailed {
-			break
-		}
-	}
-	return nil, lastErr
+	return data, err
 }
 
-// attemptRead performs one read attempt, optionally hedged: if the
-// primary attempt has not answered within HedgeDelay, a backup attempt
-// fires and the first response of either wins. The attempt is bounded
-// by the deadline, which also travels down the I/O stack as a context
-// when the backend is context-aware — so an abandoned attempt (the
-// hedge loser, or a straggler held by an injected latency) is cancelled
-// when this call returns instead of running on in the background.
-func (s *Store) attemptRead(node int, object string, stripe int, deadline time.Time) ([]byte, error) {
-	ctx, cancel := context.WithDeadline(context.Background(), deadline)
-	defer cancel()
-	cio, hasCtx := s.io.(chaos.CtxIO)
-	ch := make(chan ioResult, 2)
-	launch := func(hedge bool) {
-		go func() {
-			t := s.metrics.nodeRead.Start()
-			var data []byte
-			var err error
-			if hasCtx {
-				data, err = cio.ReadColumnCtx(ctx, node, object, stripe)
-			} else {
-				data, err = s.io.ReadColumn(node, object, stripe)
-			}
-			t.Stop()
-			s.metrics.readAttempts.Inc()
-			if err == nil {
-				s.metrics.readBytes.Add(int64(len(data)))
-			}
-			ch <- ioResult{data: data, err: err, hedge: hedge}
-		}()
-	}
-	launch(false)
-	if s.retry.HedgeDelay > 0 {
-		hedgeTimer := time.NewTimer(s.retry.HedgeDelay)
-		select {
-		case r := <-ch:
-			hedgeTimer.Stop()
-			return r.data, r.err
-		case <-hedgeTimer.C:
-			s.metrics.hedges.Inc()
-			launch(true)
-		}
-	}
-	wait := time.NewTimer(time.Until(deadline))
-	defer wait.Stop()
-	select {
-	case r := <-ch:
-		if r.hedge && r.err == nil {
-			s.metrics.hedgeWins.Inc()
-		}
-		return r.data, r.err
-	case <-wait.C:
-		return nil, fmt.Errorf("%w: node %d read %s/%d", ErrTimeout, node, object, stripe)
-	}
-}
-
-// writeColumn writes one column through the NodeIO with retries (no
-// hedging: duplicate writes are idempotent here but pointless).
-// ErrNodeUnavailable aborts immediately — callers decide whether a
-// crashed target is acceptable.
+// writeColumn writes one column. It is not gated on health or the fail
+// set: repair writes provision the replacement of a failed node, and
+// callers that must not write to failed nodes check the flag
+// themselves.
 func (s *Store) writeColumn(node int, object string, stripe int, data []byte) error {
-	if s.plainIO {
-		t := s.metrics.nodeWrite.Start()
-		err := s.io.WriteColumn(node, object, stripe, data)
-		t.Stop()
-		s.metrics.writeAttempts.Inc()
-		if err == nil {
-			s.metrics.writeBytes.Add(int64(len(data)))
-		}
-		return err
+	err := s.io.WriteColumnCtx(context.Background(), node, object, stripe, data)
+	if err == nil {
+		s.health.OK(node)
 	}
-	deadline := time.Now().Add(s.retry.OpDeadline)
-	ctx, cancel := context.WithDeadline(context.Background(), deadline)
-	defer cancel()
-	cio, hasCtx := s.io.(chaos.CtxIO)
-	backoff := s.retry.BaseBackoff
-	var lastErr error
-	for attempt := 0; attempt < s.retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			d := s.jitter(backoff)
-			if time.Now().Add(d).After(deadline) {
-				break
-			}
-			time.Sleep(d)
-			backoff *= 2
-			if backoff > s.retry.MaxBackoff {
-				backoff = s.retry.MaxBackoff
-			}
-			s.metrics.retries.Inc()
-		}
-		t := s.metrics.nodeWrite.Start()
-		var err error
-		if hasCtx {
-			err = cio.WriteColumnCtx(ctx, node, object, stripe, data)
-		} else {
-			err = s.io.WriteColumn(node, object, stripe, data)
-		}
-		t.Stop()
-		s.metrics.writeAttempts.Inc()
-		if err == nil {
-			s.metrics.writeBytes.Add(int64(len(data)))
-			s.health.ok(node)
-			return nil
-		}
-		if errors.Is(err, ErrNodeUnavailable) {
-			return err
-		}
-		lastErr = err
-		s.health.fail(node)
-	}
-	return lastErr
+	return err
 }

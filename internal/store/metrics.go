@@ -106,15 +106,15 @@ func newStoreMetrics(reg *obs.Registry) storeMetrics {
 		reg = obs.NewRegistry(false)
 	}
 	return storeMetrics{
-		reg:              reg,
-		retries:          reg.Counter("store_retries_total"),
-		hedges:           reg.Counter("store_hedges_total"),
-		hedgeWins:        reg.Counter("store_hedge_wins_total"),
-		readErrors:       reg.Counter("store_read_errors_total"),
-		checksumFailures: reg.Counter("store_checksum_failures_total"),
+		reg:               reg,
+		retries:           reg.Counter("store_retries_total"),
+		hedges:            reg.Counter("store_hedges_total"),
+		hedgeWins:         reg.Counter("store_hedge_wins_total"),
+		readErrors:        reg.Counter("store_read_errors_total"),
+		checksumFailures:  reg.Counter("store_checksum_failures_total"),
 		checksumDemotions: reg.Counter("store_checksum_demotions_total"),
-		shardsHealed:     reg.Counter("store_shards_healed_total"),
-		degradedSubReads: reg.Counter("store_degraded_sub_reads_total"),
+		shardsHealed:      reg.Counter("store_shards_healed_total"),
+		degradedSubReads:  reg.Counter("store_degraded_sub_reads_total"),
 
 		tierPromotions: reg.Counter("store_tier_promotions_total"),
 		tierDemotions:  reg.Counter("store_tier_demotions_total"),
@@ -124,10 +124,10 @@ func newStoreMetrics(reg *obs.Registry) storeMetrics {
 		cacheBytes:     reg.Gauge("store_cache_bytes"),
 		migrateSeconds: reg.Histogram("store_tier_migrate_seconds"),
 		migrateBytes:   reg.Histogram("store_tier_migrate_bytes"),
-		readAttempts:     reg.Counter("store_node_read_attempts_total"),
-		writeAttempts:    reg.Counter("store_node_write_attempts_total"),
-		readBytes:        reg.Counter("store_node_read_bytes_total"),
-		writeBytes:       reg.Counter("store_node_write_bytes_total"),
+		readAttempts:   reg.Counter("store_node_read_attempts_total"),
+		writeAttempts:  reg.Counter("store_node_write_attempts_total"),
+		readBytes:      reg.Counter("store_node_read_bytes_total"),
+		writeBytes:     reg.Counter("store_node_write_bytes_total"),
 
 		partialReads:     reg.Counter("store_partial_reads_total"),
 		partialReadBytes: reg.Counter("store_partial_read_bytes_total"),
@@ -175,11 +175,11 @@ func (s *Store) registerGauges() {
 	reg.GaugeFunc("store_nodes", func() int64 { return int64(len(s.nodes)) })
 	reg.GaugeFunc("store_failed_nodes", func() int64 { return int64(len(s.FailedNodes())) })
 	reg.GaugeFunc("store_suspect_nodes", func() int64 {
-		suspect, _ := s.health.counts()
+		suspect, _ := s.healthCounts()
 		return int64(suspect)
 	})
 	reg.GaugeFunc("store_down_nodes", func() int64 {
-		_, down := s.health.counts()
+		_, down := s.healthCounts()
 		return int64(down)
 	})
 	reg.GaugeFunc("store_repair_checkpoint_age_seconds", func() int64 {

@@ -98,7 +98,7 @@ func (s *Store) readStripePlanned(obj *object, stripe int, exts []extent) (sr *s
 				widen = true
 				break
 			}
-			s.health.verified(ni)
+			s.health.Verified(ni)
 			cols[ni] = data
 			read[ni] = true
 		}
@@ -206,7 +206,7 @@ func (s *Store) getSegmentFast(name string, id int) (seg Segment, done bool, err
 				s.demoteColumn(sb.Node)
 				rerr = fmt.Errorf("store: sub-block (%d,%d) checksum mismatch", sb.Node, sb.Row)
 			} else {
-				s.health.verified(sb.Node)
+				s.health.Verified(sb.Node)
 			}
 		}
 		if rerr != nil {
@@ -332,7 +332,7 @@ func (r *Repair) plannedRepairRead(j repairJob) (cols [][]byte, demoted []int, r
 				widen = true
 				break
 			}
-			s.health.verified(ni)
+			s.health.Verified(ni)
 			cols[ni] = data
 			read[ni] = true
 		}

@@ -199,7 +199,13 @@ func (s *Store) StartRepair(opts RepairOptions) (*Repair, error) {
 	// they hold (it is untrustworthy) and reconstruct from survivors.
 	// This goes through the public journaled path before any checkpoint
 	// exists, so recovery sees the same failed set this run saw.
-	if hf := s.health.failedNodes(); len(hf) > 0 {
+	var hf []int
+	for ni, st := range s.NodeHealth() {
+		if st == HealthFailed {
+			hf = append(hf, ni)
+		}
+	}
+	if len(hf) > 0 {
 		if err := s.FailNodes(hf...); err != nil {
 			release()
 			return nil, err

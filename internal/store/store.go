@@ -12,7 +12,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -23,6 +22,7 @@ import (
 	"approxcode/internal/core"
 	"approxcode/internal/obs"
 	"approxcode/internal/place"
+	"approxcode/internal/resilience"
 	"approxcode/internal/tier"
 )
 
@@ -51,8 +51,10 @@ type Config struct {
 	// packs segments in stream order instead (slightly better locality
 	// for sequential reads).
 	ContiguousPlacement bool
-	// Retry tunes the self-healing I/O path (retries, hedged reads,
-	// deadlines). Zero values pick sane defaults.
+	// Retry tunes the retry/hedge/deadline wrapper the store composes
+	// in front of a WrapIO stack (it has no effect without WrapIO: a
+	// bare backend gets single attempts). Zero values pick sane
+	// defaults.
 	Retry RetryPolicy
 	// Health tunes the per-node healthy → suspect → failed state
 	// machine. Zero values pick sane defaults.
@@ -64,15 +66,16 @@ type Config struct {
 	// in-memory nodes. With an external backend the store's node structs
 	// hold only administrative state (the FailNodes set); column bytes,
 	// Save snapshots, and Stats.StoredBytes accounting live with the
-	// backend. Backends that run their own retry/hedge/health machinery
-	// at the network edge (netio.Client does) should be used without
-	// WrapIO so the store takes its single-attempt path instead of
-	// stacking a second retry loop on top.
+	// backend. A backend that runs the resilience wrapper at its own
+	// edge (netio.Client does) should be used without WrapIO, so the
+	// store issues single attempts instead of stacking a second retry
+	// loop on top.
 	Backend chaos.NodeIO
 	// WrapIO, when set, wraps the store's node I/O — the fault-injection
-	// hook (pass a chaos.Injector's Wrap method). With no wrapper the
-	// store uses a fast path that skips the retry/hedging machinery,
-	// since in-memory I/O cannot fail transiently.
+	// hook (pass a chaos.Injector's Wrap method). The store puts the
+	// resilience wrapper (retries, hedged reads, op deadline) in front
+	// of what it returns; with no WrapIO there is nothing to heal
+	// around and every column operation is a single attempt.
 	WrapIO func(chaos.NodeIO) chaos.NodeIO
 	// MaxInFlight bounds how many foreground operations (Put, Get,
 	// GetSegment, UpdateSegment) execute concurrently. Operations
@@ -131,21 +134,17 @@ type Store struct {
 	cfg  Config
 	code *core.Code
 
-	// io is the node I/O stack: the configured backend (memIO by
-	// default) at the bottom, optionally wrapped by a fault injector.
-	// plainIO marks the unwrapped case so hot paths can skip the
-	// retry/hedging goroutines; extBackend marks a caller-provided
-	// backend, whose reads the store gates on its administrative fail
-	// set (the built-in memIO checks the flag itself).
-	io         chaos.NodeIO
-	plainIO    bool
+	// io is what column operations call: one accounted attempt against
+	// the configured backend (memIO by default), and — only when
+	// Config.WrapIO put an injector or tap in the stack — the
+	// resilience wrapper in front of it. extBackend marks a
+	// caller-provided backend, whose reads the store gates on its
+	// administrative fail set (the built-in memIO checks the flag
+	// itself).
+	io         chaos.CtxIO
 	extBackend bool
-	retry   RetryPolicy
-	health  *healthTracker
-	metrics storeMetrics
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	health     *resilience.Health
+	metrics    storeMetrics
 
 	// failMu serializes node-set transitions (FailNodes) against
 	// operations that require a stable healthy stripe set for their
@@ -367,26 +366,29 @@ func Open(cfg Config) (*Store, error) {
 		Bytes:     s.metrics.cacheBytes,
 	})
 	code.Instrument(s.metrics.reg)
-	s.retry = cfg.Retry.withDefaults()
-	seed := s.retry.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	s.rng = rand.New(rand.NewSource(seed))
 	for i := 0; i < code.TotalShards(); i++ {
 		s.nodes = append(s.nodes, &node{columns: make(map[string][][]byte)})
 	}
-	s.health = newHealthTracker(len(s.nodes), cfg.Health)
+	s.health = newHealth(cfg.Health)
+	var base chaos.NodeIO = &memIO{s: s}
 	if cfg.Backend != nil {
-		s.io = cfg.Backend
+		base = cfg.Backend
 		s.extBackend = true
-	} else {
-		s.io = &memIO{s: s}
 	}
-	if cfg.WrapIO != nil {
-		s.io = cfg.WrapIO(s.io)
+	if cfg.WrapIO == nil {
+		// Nothing between the store and its backend can fail
+		// transiently (memIO) or the backend heals itself at its own
+		// edge (netio.Client): every operation is a single attempt.
+		s.io = newAttemptIO(base, &s.metrics)
 	} else {
-		s.plainIO = true
+		s.io = resilience.Wrap(newAttemptIO(cfg.WrapIO(base), &s.metrics),
+			cfg.Retry.WithDefaults(defaultRetry), s.health,
+			resilience.Metrics{
+				Retries:    s.metrics.retries,
+				Hedges:     s.metrics.hedges,
+				HedgeWins:  s.metrics.hedgeWins,
+				ReadErrors: s.metrics.readErrors,
+			})
 	}
 	if cfg.Topology != nil {
 		s.topo = cfg.Topology.Clone()
@@ -821,7 +823,7 @@ func (s *Store) readStripe(obj *object, stripe int) (cols [][]byte, demoted []in
 			demoted = append(demoted, ni)
 			continue
 		}
-		s.health.verified(ni)
+		s.health.Verified(ni)
 		cols[ni] = data
 	}
 	return cols, demoted
@@ -835,7 +837,7 @@ func (s *Store) readStripe(obj *object, stripe int) (cols [][]byte, demoted []in
 func (s *Store) demoteColumn(ni int) {
 	s.metrics.checksumFailures.Inc()
 	s.metrics.checksumDemotions.Inc()
-	s.health.corrupt(ni)
+	s.health.Corrupt(ni)
 }
 
 // GetReport describes losses encountered by a Get.
@@ -1065,7 +1067,7 @@ func (s *Store) unfailNode(ni int) {
 	nd.mu.Lock()
 	nd.failed = false
 	nd.mu.Unlock()
-	s.health.reset(ni)
+	s.health.Reset(ni)
 }
 
 func isFailedIdx(failed []int, ni int) bool {
@@ -1360,7 +1362,7 @@ func (s *Store) Stats() Stats {
 		}
 		nd.mu.RUnlock()
 	}
-	st.SuspectNodes, st.DownNodes = s.health.counts()
+	st.SuspectNodes, st.DownNodes = s.healthCounts()
 	// Thin view over the obs registry: each field is one atomic load of
 	// the counter the hot paths update in place.
 	st.Retries = s.metrics.retries.Value()
@@ -1379,4 +1381,23 @@ func (s *Store) Stats() Stats {
 }
 
 // NodeHealth returns every node's current health state.
-func (s *Store) NodeHealth() []HealthState { return s.health.snapshot() }
+func (s *Store) NodeHealth() []HealthState {
+	out := make([]HealthState, len(s.nodes))
+	for i := range out {
+		out[i] = s.health.State(i)
+	}
+	return out
+}
+
+// healthCounts tallies nodes per non-healthy state.
+func (s *Store) healthCounts() (suspect, failed int) {
+	for _, st := range s.NodeHealth() {
+		switch st {
+		case HealthSuspect:
+			suspect++
+		case HealthFailed:
+			failed++
+		}
+	}
+	return
+}
