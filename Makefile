@@ -6,6 +6,10 @@
 
 GO ?= go
 FUZZTIME ?= 5s
+# Where the bench-pr7/9/10 targets write their reports: the checked-in
+# BENCH_PR*.json by default. `ci` points it at a temp dir, so the gates
+# run without rewriting tracked files and `git status` stays clean.
+BENCH_DIR ?= .
 
 .PHONY: all build vet lint errvet test test-noasm test-cpus race race-hammer chaos net-chaos topo-chaos crash fuzz bench-pr1 bench-pr2 bench-pr6 bench-pr7 bench-pr9 bench-pr10 stress metrics-bench ci
 
@@ -107,10 +111,14 @@ fuzz:
 
 # Focused concurrency hammer, repeated under the race detector: Stats
 # vs the mutating paths, UpdateSegment vs FailNodes, the obs registry's
-# concurrent counter/histogram/export use, and a long (4s per pass) run
-# of the mixed-workload stress suite and model-based property test.
+# concurrent counter/histogram/export use, lock-free reads vs
+# UpdateSegment on one object (the read-vs-update rule, at two and four
+# Ps), and a long (4s per pass) run of the mixed-workload stress suite
+# and model-based property test.
 race-hammer:
 	$(GO) test -race -count=3 -run 'TestUpdateSegmentFailNodesRace|TestStatsConcurrentMonotonic|TestConcurrentUse' ./internal/store/ ./internal/obs/
+	GOMAXPROCS=2 $(GO) test -race -count=2 -run 'TestReadRacingUpdateIsNotCorruption' ./internal/store/
+	GOMAXPROCS=4 $(GO) test -race -count=2 -run 'TestReadRacingUpdateIsNotCorruption' ./internal/store/
 	STORE_STRESS_SECONDS=4 $(GO) test -race -count=2 -run 'TestConcurrentStress|TestSlowGetDoesNotBlockPut|TestAdmissionControl|TestStorePropertyVsModel' ./internal/store/
 
 # Short mixed-workload stress pass under the race detector (the long
@@ -143,7 +151,7 @@ bench-pr6:
 # bytes moved, degraded-read latency, locality-aware cluster sim; the
 # latency gate is evaluated only on >= 4 cores, report-only below).
 bench-pr7:
-	$(GO) run ./cmd/apprbench -exp pr7 -iters 3
+	$(GO) run ./cmd/apprbench -exp pr7 -iters 3 -pr7 $(BENCH_DIR)/BENCH_PR7.json
 
 # Regenerates BENCH_PR9.json (popularity-adaptive tiering: Zipf replay
 # against the all-warm baseline then the tiered fleet, per-tier
@@ -151,13 +159,17 @@ bench-pr7:
 # cached-vs-decode latency gate is evaluated only on >= 4 cores,
 # report-only below).
 bench-pr9:
-	$(GO) run ./cmd/apprbench -exp pr9 -iters 3
+	$(GO) run ./cmd/apprbench -exp pr9 -iters 3 -pr9 $(BENCH_DIR)/BENCH_PR9.json
 
 # Regenerates BENCH_PR10.json (topology-aware placement: healthy vs
 # whole-rack-loss degraded read latency with the survival invariant
 # held, repair traffic rack-local vs the scatter/flat baselines; all
 # targets deterministic, the latency ratio is report-only).
 bench-pr10:
-	$(GO) run ./cmd/apprbench -exp pr10 -iters 3
+	$(GO) run ./cmd/apprbench -exp pr10 -iters 3 -pr10 $(BENCH_DIR)/BENCH_PR10.json
 
-ci: lint errvet build test test-noasm test-cpus race race-hammer stress chaos net-chaos topo-chaos crash fuzz metrics-bench bench-pr7 bench-pr9 bench-pr10
+# The full gate. The bench gates come last, writing to a temp dir (see
+# BENCH_DIR) so a ci run leaves the checked-in reports alone.
+ci: lint errvet build test test-noasm test-cpus race race-hammer stress chaos net-chaos topo-chaos crash fuzz metrics-bench
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+		$(MAKE) bench-pr7 bench-pr9 bench-pr10 BENCH_DIR="$$dir"

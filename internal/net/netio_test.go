@@ -11,6 +11,7 @@ import (
 
 	"approxcode/internal/chaos"
 	"approxcode/internal/core"
+	"approxcode/internal/obs"
 	"approxcode/internal/store"
 )
 
@@ -447,5 +448,57 @@ func TestMasterFetchHelpers(t *testing.T) {
 	}
 	if nm[1].Addr != "10.0.0.1:7000" || nm[1].State != StateAlive {
 		t.Fatalf("node 1 info: %+v", nm[1])
+	}
+}
+
+// TestSegmentReadMovesExactBytesOverTCP: the exact-range segment read
+// is the ReadAt RPC every backend already has, so over loopback TCP a
+// healthy GetSegment moves the segment's own bytes in one RPC, not its
+// sub-block.
+func TestSegmentReadMovesExactBytesOverTCP(t *testing.T) {
+	params := testParams()
+	total := totalNodes(t, params)
+	const nServers = 2
+	routes := make(map[int]string, total)
+	for i, nodes := range nodeSplit(total, nServers) {
+		srv, err := NewServer(ServerConfig{Backend: NewMemBackend(), Nodes: nodes})
+		if err != nil {
+			t.Fatalf("server %d: %v", i, err)
+		}
+		defer srv.Close()
+		for _, node := range nodes {
+			routes[node] = srv.Addr()
+		}
+	}
+	client, err := Dial(ClientConfig{Nodes: routes})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer client.Close()
+	reg := obs.NewRegistry(true)
+	s, err := store.Open(store.Config{Code: params, NodeSize: 3 * 512, Backend: client, Obs: reg})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	// Twelve segments of at most 404 bytes: one per slot, none spills
+	// out of its 512-byte sub-block, so each is a single extent.
+	segs := testSegments(12)
+	if err := s.Put("video", segs); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	readBytes := reg.Counter("store_node_read_bytes_total")
+	partialReads := reg.Counter("store_partial_reads_total")
+	for _, want := range segs {
+		b0, p0 := readBytes.Value(), partialReads.Value()
+		got, err := s.GetSegment("video", want.ID)
+		if err != nil {
+			t.Fatalf("GetSegment %d: %v", want.ID, err)
+		}
+		if !bytes.Equal(got.Data, want.Data) {
+			t.Fatalf("segment %d differs", want.ID)
+		}
+		if moved, reads := readBytes.Value()-b0, partialReads.Value()-p0; moved != int64(len(want.Data)) || reads != 1 {
+			t.Fatalf("segment %d: %d bytes in %d partial reads, want its own %d bytes in one", want.ID, moved, reads, len(want.Data))
+		}
 	}
 }

@@ -334,6 +334,44 @@ func TestChaosPartialReadCorruption(t *testing.T) {
 	}
 }
 
+// TestChaosTornColumnUnderExactRangeReads: a torn (truncated) write
+// leaves a data node's columns short. Exact-range segment reads that fall
+// inside the kept half are served as-is (their segment sums verify);
+// those that reach past it fail the read and go down the ladder. Every
+// segment must come back byte-exact either way.
+func TestChaosTornColumnUnderExactRangeReads(t *testing.T) {
+	inj := chaos.NewInjector(34)
+	cfg := storeConfig()
+	cfg.WrapIO = inj.Wrap
+	s, err := store.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.AddRules(chaos.Rule{
+		Node: s.Code().DataNodeIndexes()[0], Stripe: chaos.Any,
+		Op: chaos.OpWrite, Kind: chaos.FaultTorn, KeepFraction: 0.5,
+	})
+	segs := chaostest.GenSegments(35, 40, 4)
+	if err := s.Put("video", segs); err != nil {
+		t.Fatal(err)
+	}
+	if inj.Stats().TornWrites == 0 {
+		t.Fatal("torn rule never fired")
+	}
+	for _, want := range segs {
+		got, err := s.GetSegment("video", want.ID)
+		if err != nil {
+			t.Fatalf("segment %d: %v", want.ID, err)
+		}
+		if !bytes.Equal(got.Data, want.Data) {
+			t.Fatalf("segment %d silently corrupted by a torn column", want.ID)
+		}
+	}
+	if st := s.Stats(); st.DegradedSubReads == 0 {
+		t.Fatalf("no read ever reached past the tear: %+v", st)
+	}
+}
+
 // storeConfig mirrors the internal test config for the external
 // (store_test) package.
 func storeConfig() store.Config {

@@ -545,3 +545,130 @@ func TestAdmissionControlShedsLoad(t *testing.T) {
 	}
 	verifyObject(t, s, name, 2, 400, 0)
 }
+
+// versionedPayload is a segment body that names its own version: the
+// first eight bytes are the version, the rest is derived from it, so a
+// reader can check a reply is entirely one version without knowing
+// which one to expect.
+func versionedPayload(object string, id, size, version int) []byte {
+	out := segPayload(object, id, size, version)
+	for i := 0; i < 8; i++ {
+		out[i] = byte(uint64(version) >> (8 * i))
+	}
+	return out
+}
+
+func payloadVersion(data []byte) int {
+	var v uint64
+	for i := 0; i < 8; i++ {
+		v |= uint64(data[i]) << (8 * i)
+	}
+	return int(v)
+}
+
+// TestReadRacingUpdateIsNotCorruption: readers take no lock and an
+// UpdateSegment writes its columns before it publishes their checksums,
+// so a read of the same object can see bytes and checksums that
+// disagree. That is an update in flight, not damage: the read must wait
+// for the update and return entirely-old or entirely-new bytes, and
+// must not demote the (healthy) node. Before the read-vs-update rule a
+// few seconds of this drove a data node to HealthFailed — its reads
+// refused until RepairAll — and failed ~1% of GetSegments on a fully
+// redundant object.
+func TestReadRacingUpdateIsNotCorruption(t *testing.T) {
+	const (
+		name  = "video"
+		nSegs = 60
+		size  = 400 // of a 512-byte sub-block: every slot's second segment spills
+	)
+	s, err := store.Open(storeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := make([]store.Segment, nSegs)
+	for i := range segs {
+		segs[i] = store.Segment{ID: i, Important: i%3 == 0, Data: versionedPayload(name, i, size, 0)}
+	}
+	if err := s.Put(name, segs); err != nil {
+		t.Fatal(err)
+	}
+	// One early segment (a single extent) and one late one (spilled over
+	// two stripes, so a reply can tear between them).
+	targets := []int{1, nSegs - 1}
+	checkReply := func(seg store.Segment) {
+		if len(seg.Data) != size {
+			t.Errorf("segment %d: %d bytes, want %d", seg.ID, len(seg.Data), size)
+			return
+		}
+		v := payloadVersion(seg.Data)
+		if !bytes.Equal(seg.Data, versionedPayload(name, seg.ID, size, v)) {
+			t.Errorf("segment %d: reply claims version %d but is not entirely that version", seg.ID, v)
+		}
+	}
+	deadline := time.Now().Add(stressDuration(t))
+	var wg sync.WaitGroup
+	var updates, reads atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for v := 1; time.Now().Before(deadline); v++ {
+			id := targets[v%len(targets)]
+			if err := s.UpdateSegment(name, id, versionedPayload(name, id, size, v)); err != nil {
+				t.Errorf("UpdateSegment %d v%d: %v", id, v, err)
+				return
+			}
+			updates.Add(1)
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; time.Now().Before(deadline); i++ {
+				if i%16 == 15 {
+					got, rep, err := s.Get(name)
+					if err != nil || len(rep.LostSegments) != 0 {
+						t.Errorf("Get: %v, lost %v", err, rep)
+						return
+					}
+					for _, seg := range got {
+						checkReply(seg)
+					}
+					continue
+				}
+				seg, err := s.GetSegment(name, targets[(i+r)%len(targets)])
+				if err != nil {
+					t.Errorf("GetSegment: %v", err)
+					return
+				}
+				checkReply(seg)
+				reads.Add(1)
+			}
+		}(r)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for time.Now().Before(deadline) {
+			rep, err := s.Scrub()
+			if err != nil || rep.ChecksumFailures != 0 || len(rep.Corrupt) != 0 {
+				t.Errorf("scrub of healthy bytes: %+v, %v", rep, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if updates.Load() == 0 || reads.Load() == 0 {
+		t.Fatalf("no overlap exercised: %d updates, %d reads", updates.Load(), reads.Load())
+	}
+	st := s.Stats()
+	if st.ChecksumDemotions != 0 || st.ChecksumFailures != 0 {
+		t.Fatalf("%d updates racing %d reads: %d demotions, %d checksum failures, want none",
+			updates.Load(), reads.Load(), st.ChecksumDemotions, st.ChecksumFailures)
+	}
+	for ni, h := range s.NodeHealth() {
+		if h != store.HealthHealthy {
+			t.Fatalf("node %d is %v after racing reads and updates", ni, h)
+		}
+	}
+}

@@ -3,19 +3,11 @@ package store
 import (
 	"context"
 	"fmt"
-	"hash/crc32"
 	"time"
 
 	"approxcode/internal/chaos"
 	"approxcode/internal/resilience"
 )
-
-// castagnoli is the CRC-32C polynomial table used for all shard
-// checksums (hardware-accelerated on amd64/arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// colSum is the checksum stored per (stripe, node) column.
-func colSum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // RetryPolicy tunes the self-healing I/O path the store composes in
 // front of a Config.WrapIO stack (see resilience.Policy for the
@@ -196,7 +188,9 @@ func (a *attemptIO) ReadColumnAtCtx(ctx context.Context, node int, object string
 			return nil, fmt.Errorf("%w: range [%d,%d) outside column of %d bytes",
 				ErrInvalid, off, off+n, len(col))
 		}
-		return col[off : off+n], nil
+		// The range may be handed to the caller as a segment's bytes;
+		// a subslice would keep the whole column alive behind it.
+		return append([]byte(nil), col[off:off+n]...), nil
 	}
 	var data []byte
 	var err error

@@ -66,6 +66,11 @@ type snapObject struct {
 	// snapshots leave it zero, which is Warm — exactly the layout every
 	// object had before tiers existed.
 	Tier int
+	// SegSums[i] is the content checksum of Segments[i] (see
+	// object.segSums). Absent in snapshots written before segment sums
+	// (gob leaves the field nil): every segment then has no sum and is
+	// read through the sub-block sums.
+	SegSums []segSum
 }
 
 // extentRecord mirrors extent with exported fields for gob.
@@ -258,11 +263,10 @@ func (s *Store) Save(dir string) error {
 	}
 	for _, obj := range s.objects.snapshot() {
 		obj.sumsMu.RLock()
-		sums := obj.sums
-		subSums := obj.subSums
-		obj.sumsMu.RUnlock()
 		so := snapObject{Name: obj.name, Segments: obj.segments, Stripes: obj.stripes,
-			Sums: sums, SubSums: subSums, Tier: int(obj.tier.Load())}
+			Sums: obj.sums, SubSums: obj.subSums, Tier: int(obj.tier.Load()),
+			SegSums: append([]segSum(nil), obj.segSums...)}
+		obj.sumsMu.RUnlock()
 		for _, e := range obj.extents {
 			so.Extents = append(so.Extents, extentRecord{
 				Seg: e.seg, Stripe: e.stripe, Node: e.node, Row: e.row, Off: e.off, Length: e.length,
@@ -522,14 +526,18 @@ func loadAndReplay(dir string, opts LoadOptions) (*Store, *RecoverReport, error)
 	s.gen = snap.Generation
 	s.seq = snap.LastSeq
 	for _, so := range snap.Objects {
-		obj := &object{name: so.Name, segments: so.Segments, stripes: so.Stripes,
-			sums: so.Sums, subSums: so.SubSums}
-		obj.tier.Store(int32(so.Tier))
-		for _, e := range so.Extents {
-			obj.extents = append(obj.extents, extent{
+		extents := make([]extent, len(so.Extents))
+		for i, e := range so.Extents {
+			extents[i] = extent{
 				seg: e.Seg, stripe: e.Stripe, node: e.Node, row: e.Row, off: e.Off, length: e.Length,
-			})
+			}
 		}
+		obj := newObject(so.Name, so.Segments, extents, so.Stripes)
+		obj.sums, obj.subSums = so.Sums, so.SubSums
+		if len(so.SegSums) == len(so.Segments) {
+			obj.segSums = so.SegSums
+		}
+		obj.tier.Store(int32(so.Tier))
 		s.objects.publish(so.Name, obj)
 	}
 	var failed []int
@@ -768,9 +776,10 @@ func (s *Store) applyRepairStripe(sr repairStripeRecord) {
 		}
 		if sum, ok := sr.Sums[ni]; ok {
 			sums[ni] = sum
-			subSums[ni] = subColSums(col, s.cfg.Code.H)
+			_, subSums[ni] = s.colSums(col)
 		}
 	}
 	obj.setSums(sr.Stripe, len(s.nodes), sums)
 	obj.setSubSums(sr.Stripe, len(s.nodes), subSums)
+	obj.clearSegSums(sr.Lost)
 }

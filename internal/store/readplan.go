@@ -22,7 +22,44 @@ import (
 // Every rung is checksum-verified, so escalation can only trade bytes
 // moved for correctness margin — never the reverse. Scrub keeps its
 // full-width reads (Verify needs every column) but heals through the
-// planned decode.
+// planned decode. A single-segment read has one more rung in front
+// (readSegmentExact): exactly the segment's bytes, verified end to end
+// against its content checksum.
+
+// objRead is one lock-free attempt at reading an object's bytes, and
+// carries the read-vs-update rule (DESIGN.md §11). Readers take no
+// lock, and an UpdateSegment writes its columns before it publishes
+// their checksums, so a checksum mismatch — at any grain — may be an
+// update caught half-way rather than damage. Every read-side mismatch
+// therefore consults the object's epoch first: odd, or changed since
+// the attempt began, means an update overlapped it. The attempt is then
+// torn: nothing is demoted, its result is discarded, and the caller
+// repeats the read once under the object's update lock, where a
+// mismatch is genuine. Callers check overlapped once more when the
+// attempt ends, so a reply is never assembled from both sides of an
+// update even when every piece verified.
+//
+// A nil *objRead is a caller that excludes updates by other means: the
+// update itself, scrub and migration (they hold updateMu), and repair
+// (updates are refused while nodes are failed).
+type objRead struct {
+	obj    *object
+	epoch  int64
+	locked bool // the caller holds obj.updateMu
+	torn   bool
+}
+
+// overlapped reports whether an UpdateSegment overlapped the attempt,
+// marking it torn if so.
+func (r *objRead) overlapped() bool {
+	if r == nil || r.locked {
+		return false
+	}
+	if v := r.obj.version.Load(); v != r.epoch || v&1 == 1 {
+		r.torn = true
+	}
+	return r.torn
+}
 
 // errNoSubSum marks a sub-block whose checksum is unavailable (object
 // loaded from a pre-sub-checksum snapshot); partial reads cannot be
@@ -41,14 +78,18 @@ type stripeRead struct {
 
 // readStripeForGet assembles the columns a Get needs from one stripe:
 // the minimal planned set when planning succeeds, the full stripe
-// otherwise. Demoted-column counts land in rep.
-func (s *Store) readStripeForGet(obj *object, stripe int, exts []extent, rep *GetReport) *stripeRead {
-	if sr, demotes, ok := s.readStripePlanned(obj, stripe, exts); ok {
+// otherwise. Demoted-column counts land in rep. Once rd is torn the
+// result is for the bin, so nothing further is read.
+func (s *Store) readStripeForGet(obj *object, stripe int, exts []extent, rep *GetReport, rd *objRead) *stripeRead {
+	if sr, demotes, ok := s.readStripePlanned(obj, stripe, exts, rd); ok {
 		rep.ChecksumFailures += demotes
 		return sr
 	}
+	if rd.torn {
+		return &stripeRead{cols: make([][]byte, len(s.nodes))}
+	}
 	s.metrics.planFallbacks.Inc()
-	cols, demoted := s.readStripe(obj, stripe)
+	cols, demoted := s.readStripe(obj, stripe, rd)
 	rep.ChecksumFailures += len(demoted)
 	return &stripeRead{cols: cols}
 }
@@ -58,8 +99,9 @@ func (s *Store) readStripeForGet(obj *object, stripe int, exts []extent, rep *Ge
 // or fails its checksum joins the erased set and the plan is recomputed
 // (columns already read are kept). It reports ok=false when any plan
 // cannot be built — beyond-tolerance patterns, or escalation running
-// out of survivors — and the caller takes the full-stripe rung.
-func (s *Store) readStripePlanned(obj *object, stripe int, exts []extent) (sr *stripeRead, demotes int, ok bool) {
+// out of survivors — and the caller takes the full-stripe rung, or when
+// a mismatch tore rd.
+func (s *Store) readStripePlanned(obj *object, stripe int, exts []extent, rd *objRead) (sr *stripeRead, demotes int, ok bool) {
 	failed := s.FailedNodes()
 	cols := make([][]byte, len(s.nodes))
 	sums := obj.sumsRow(stripe)
@@ -92,6 +134,9 @@ func (s *Store) readStripePlanned(obj *object, stripe int, exts []extent) (sr *s
 			}
 			if len(data) != s.cfg.NodeSize ||
 				(sums != nil && ni < len(sums) && sums[ni] != 0 && colSum(data) != sums[ni]) {
+				if rd.overlapped() {
+					return nil, demotes, false
+				}
 				s.demoteColumn(ni)
 				demotes++
 				failed = append(failed, ni)
@@ -146,35 +191,76 @@ func (s *Store) stripeSubBlock(sr *stripeRead, node, row int) (block []byte, dec
 	return block, true, nil
 }
 
-// getSegmentFast serves a single segment by moving only the sub-block
-// ranges its read plan names — partial-column reads verified against
-// the per-sub-block checksums — decoding erased targets from their
-// codeword's minimal survivor set. done=false means the fast path does
-// not apply (no sub-checksums, plan failure, or escalation exhausted)
-// and the caller must fall back to the whole-object path.
-func (s *Store) getSegmentFast(name string, id int) (seg Segment, done bool, err error) {
-	obj, ok := s.objects.get(name)
+// readSegmentExact is rung 0 of the single-segment ladder: when the
+// segment has a content checksum and every extent sits on a node that
+// is neither failed nor health-failed (asked of those nodes only, and
+// before anything moves, so an erased extent costs rung 1 no extra
+// traffic), read exactly the extents' byte ranges and verify the
+// assembled segment end to end. A single-extent segment (the normal
+// case: a segment only splits when it spills into the next stripe) is
+// the read buffer itself, so each byte served is copied once. ok=false
+// — no sum, an erased extent, a read error, a mismatch — hands the
+// segment to the sub-block rung, which can tell which node is at
+// fault; a mismatch an update explains tears rd instead.
+func (s *Store) readSegmentExact(obj *object, pos int, rd *objRead) (data []byte, ok bool) {
+	want, ok := obj.segSum(pos)
 	if !ok {
-		return Segment{}, true, fmt.Errorf("%w: %q", ErrNotFound, name)
+		return nil, false
 	}
-	important := false
-	found := false
-	for _, m := range obj.segments {
-		if m.ID == id {
-			important, found = m.Important, true
-			break
-		}
-	}
-	if !found {
-		return Segment{}, true, fmt.Errorf("%w: segment %d", ErrNotFound, id)
-	}
-	var exts []extent
+	exts := obj.segExt[pos]
 	total := 0
-	for _, e := range obj.extents {
-		if e.seg == id {
-			exts = append(exts, e)
-			total += e.length
+	for _, e := range exts {
+		if s.nodeFailed(e.node) || !s.health.Allow(e.node) {
+			return nil, false
 		}
+		total += e.length
+	}
+	if len(exts) > 1 {
+		data = make([]byte, 0, total)
+	}
+	sub := s.cfg.NodeSize / s.cfg.Code.H
+	for _, e := range exts {
+		b, err := s.readColumnAt(e.node, obj.name, e.stripe, e.row*sub+e.off, e.length)
+		if err != nil || len(b) != e.length {
+			return nil, false
+		}
+		if len(exts) == 1 {
+			data = b
+		} else {
+			data = append(data, b...)
+		}
+	}
+	if colSum(data) != want {
+		rd.overlapped()
+		return nil, false
+	}
+	for _, e := range exts {
+		s.health.Verified(e.node)
+	}
+	return data, true
+}
+
+// getSegmentFast serves a single segment without reading the object
+// around it. Rung 0 moves exactly the segment's bytes (see
+// readSegmentExact). Behind it — for erased extents, objects without
+// segment sums and verification failures — the sub-block rung moves the
+// sub-block ranges the segment's read plan names, as partial-column
+// reads verified against the per-sub-block checksums, and decodes erased
+// targets from their codeword's minimal survivor set. ok=false means
+// neither applies (no sub-checksums, plan failure, escalation
+// exhausted, or rd torn) and the caller falls back to the whole-object
+// path or repeats the attempt.
+func (s *Store) getSegmentFast(obj *object, pos int, rd *objRead) (data []byte, ok bool) {
+	if rd.overlapped() {
+		return nil, false
+	}
+	if data, ok := s.readSegmentExact(obj, pos, rd); ok || rd.torn {
+		return data, ok
+	}
+	exts := obj.segExt[pos]
+	total := 0
+	for _, e := range exts {
+		total += e.length
 	}
 	sub := s.cfg.NodeSize / s.cfg.Code.H
 	erased := s.FailedNodes()
@@ -185,8 +271,9 @@ func (s *Store) getSegmentFast(name string, id int) (seg Segment, done bool, err
 	// path (nothing to verify against); any other failure tries a hot
 	// object's replica column before escalating. A sub-block CRC
 	// mismatch demotes the node exactly like the whole-column path
-	// (accounting + health corruption streak); a verified read clears
-	// the node's streak.
+	// (accounting + health corruption streak) unless an update explains
+	// it (rd is torn then, and the attempt is abandoned rather than
+	// widened); a verified read clears the node's streak.
 	fetch := func(stripe int, sb core.SubBlock) ([]byte, error) {
 		k := [3]int{stripe, sb.Node, sb.Row}
 		if b, ok := blocks[k]; ok {
@@ -203,8 +290,11 @@ func (s *Store) getSegmentFast(name string, id int) (seg Segment, done bool, err
 		}
 		if rerr == nil {
 			if want != 0 && colSum(b) != want {
-				s.demoteColumn(sb.Node)
 				rerr = fmt.Errorf("store: sub-block (%d,%d) checksum mismatch", sb.Node, sb.Row)
+				if rd.overlapped() {
+					return nil, rerr
+				}
+				s.demoteColumn(sb.Node)
 			} else {
 				s.health.Verified(sb.Node)
 			}
@@ -220,21 +310,21 @@ func (s *Store) getSegmentFast(name string, id int) (seg Segment, done bool, err
 		return b, nil
 	}
 
-	data := make([]byte, 0, total)
+	data = make([]byte, 0, total)
 	for _, e := range exts {
 		var block []byte
 		solved := false
 		for tries := 0; tries <= len(s.nodes) && !solved; tries++ {
 			plan, perr := s.code.PlanSubBlockRead(e.node, e.row, erased)
 			if perr != nil {
-				return Segment{}, false, nil
+				return nil, false
 			}
 			subs := make(map[core.SubBlock][]byte, len(plan))
 			bad := -1
 			for _, sb := range plan {
 				b, ferr := fetch(e.stripe, sb)
-				if errors.Is(ferr, errNoSubSum) {
-					return Segment{}, false, nil
+				if errors.Is(ferr, errNoSubSum) || rd.torn {
+					return nil, false
 				}
 				if ferr != nil {
 					bad = sb.Node
@@ -256,18 +346,18 @@ func (s *Store) getSegmentFast(name string, id int) (seg Segment, done bool, err
 				var derr error
 				block, derr = s.code.ReconstructSubBlock(subs, e.node, e.row, erased)
 				if derr != nil {
-					return Segment{}, false, nil
+					return nil, false
 				}
 				s.metrics.degradedSubReads.Inc()
 			}
 			solved = true
 		}
 		if !solved {
-			return Segment{}, false, nil
+			return nil, false
 		}
 		data = append(data, block[e.off:e.off+e.length]...)
 	}
-	return Segment{ID: id, Important: important, Data: data}, true, nil
+	return data, true
 }
 
 // reconstructForHeal rebuilds a stripe's demoted columns for scrub's

@@ -153,16 +153,16 @@ func TestRepairReadsFewerBytesThanFullStripe(t *testing.T) {
 	}
 }
 
-// TestGetSegmentLegacyObjectFallsBack: an object without sub-block
-// checksums (as loaded from a pre-sub-checksum snapshot) cannot verify
-// partial reads; GetSegment must take the whole-object path and still
+// TestGetSegmentLegacyObjectFallsBack: an object with neither segment
+// nor sub-block checksums (as loaded from a pre-sub-checksum snapshot)
+// cannot verify partial reads; GetSegment must take the whole-object path and still
 // return exact bytes.
 func TestGetSegmentLegacyObjectFallsBack(t *testing.T) {
 	segs := makeSegments(t, 8, 4, 24)
 	s, reg := openPlanned(t, segs)
 	obj, _ := s.objects.get("video")
 	obj.sumsMu.Lock()
-	obj.subSums = nil // simulate a legacy snapshot
+	obj.subSums, obj.segSums = nil, nil // simulate a legacy snapshot
 	obj.sumsMu.Unlock()
 
 	fallbacks := reg.Counter("store_plan_fallbacks_total")

@@ -562,7 +562,7 @@ func (r *Repair) repairStripe(j repairJob) {
 		// Final rung: full-stripe read + best-effort reconstruction
 		// (the pre-planning behaviour, including approximate loss).
 		s.metrics.planFallbacks.Inc()
-		cols, demoted = s.readStripe(j.obj, j.stripe)
+		cols, demoted = s.readStripe(j.obj, j.stripe, nil)
 		for ni, c := range cols {
 			readBytes += int64(len(c))
 			r.accountRead(ni, int64(len(c)))
@@ -632,8 +632,7 @@ func (r *Repair) repairStripe(j repairJob) {
 			continue
 		}
 		writeSet[ni] = col
-		sums[ni] = colSum(col)
-		subs[ni] = subColSums(col, s.cfg.Code.H)
+		sums[ni], subs[ni] = s.colSums(col)
 		writeBytes += int64(len(col))
 	}
 	var lostSegs []int
@@ -642,7 +641,8 @@ func (r *Repair) repairStripe(j repairJob) {
 		// Abandoned bytes are zero-filled: bump the data epoch so no
 		// cached decoded segment keyed before the loss can serve stale
 		// pre-failure bytes (belt-and-braces — FailNodes already purged).
-		j.obj.version.Add(1)
+		// By 2: odd is reserved for an update in flight.
+		j.obj.version.Add(2)
 	}
 	// Bandwidth budget covers the whole repair traffic of the stripe:
 	// survivor bytes read plus rebuilt bytes written back.
@@ -681,6 +681,7 @@ func (r *Repair) repairStripe(j repairJob) {
 		}
 		j.obj.setSums(j.stripe, len(s.nodes), sums)
 		j.obj.setSubSums(j.stripe, len(s.nodes), subs)
+		j.obj.clearSegSums(lostSegs)
 		s.lastCkpt.Store(time.Now().UnixNano())
 		s.metrics.repairCheckpoints.Inc()
 		s.metrics.shardsHealed.Add(int64(healed))

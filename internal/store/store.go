@@ -161,9 +161,11 @@ type Store struct {
 	quiesce sync.RWMutex
 
 	// admit is the admission controller (nil = unlimited); colBufs
-	// recycles encode-path column buffers.
-	admit   *limiter
-	colBufs *colPool
+	// recycles encode-path column buffers; subShift combines sub-block
+	// checksums into their column's (see colSums).
+	admit    *limiter
+	colBufs  *colPool
+	subShift *crcShift
 
 	// cache is the bounded decoded-segment read cache (nil when
 	// disabled); tracker is the per-object popularity counter feeding
@@ -226,6 +228,12 @@ type object struct {
 	segments []Segment // metadata only: Data stripped after ingest
 	extents  []extent
 	stripes  int
+	// segPos maps a segment ID to its position in segments and
+	// segExt[pos] lists that segment's extents in stream order. Both are
+	// built once by newObject and immutable, so a single-segment read or
+	// update finds its extents without scanning the object.
+	segPos map[int]int
+	segExt [][]extent
 	// tier is the object's current redundancy tier (tier.Level). Reads
 	// load it locklessly; it is swapped only at a migration's commit
 	// point, so a reader observes entirely the old or entirely the new
@@ -235,9 +243,12 @@ type object struct {
 	// just plan a decode where a replica existed, or vice versa find a
 	// replica missing and escalate).
 	tier atomic.Int32
-	// version is the object's data epoch: bumped when stored bytes
-	// change outside Put (entering and leaving UpdateSegment, and when
-	// a repair zero-fills lost segments). Cache keys embed it, so
+	// version is the object's data epoch, a sequence lock over its
+	// stored bytes: UpdateSegment makes it odd on entry and even again
+	// on exit, every other byte-changing commit (a repair zero-filling
+	// lost segments, a migration) adds 2. Readers run lock-free and
+	// check it (see objRead): odd, or changed since the read began,
+	// means an update overlapped the read. Cache keys embed it too, so
 	// entries cached against an old epoch can never serve a hit after
 	// the bytes moved — stale entries simply age out of the LRU.
 	version atomic.Int64
@@ -248,12 +259,14 @@ type object struct {
 	// "heal" it back to its pre-update bytes after the update finishes:
 	// a lost update. Scrub re-reads the stripe under this lock, so a
 	// demote it acts on is genuine corruption, never an in-flight
-	// update.
+	// update. A read that an update overlapped repeats under it too.
 	updateMu sync.Mutex
-	// sumsMu guards sums — the object's only mutable state after
-	// publish, so readers of one object never contend with writers of
-	// another. Rows are copy-on-write: readers take the row reference
-	// under RLock and a published row is never mutated.
+	// sumsMu guards the three checksum grains below — the object's only
+	// mutable state after publish, so readers of one object never
+	// contend with writers of another. Column and sub-block rows are
+	// copy-on-write: readers take the row reference under RLock and a
+	// published row is never mutated. Segment sums are read and written
+	// by value under the lock.
 	sumsMu sync.RWMutex
 	// sums[stripe][node] is the CRC-32C of the column as written.
 	sums [][]uint32
@@ -263,16 +276,85 @@ type object struct {
 	// pre-sub-checksum snapshot has nil entries and partial reads fall
 	// back to whole-column verification.
 	subSums [][][]uint32
+	// segSums[pos] is the CRC-32C of segment pos's bytes as the caller
+	// wrote them — end to end, independent of placement and redundancy.
+	// It lets a healthy GetSegment verify exactly the bytes it moved. An
+	// object loaded from a snapshot without the field has none (nil),
+	// and a repair that zero-fills a segment clears its entry; such
+	// segments are served through the sub-block sums.
+	segSums []segSum
 }
 
-// subColSums computes the per-sub-block CRC-32C row of one column.
-func subColSums(col []byte, h int) []uint32 {
-	sub := len(col) / h
-	out := make([]uint32, h)
-	for r := 0; r < h; r++ {
-		out[r] = colSum(col[r*sub : (r+1)*sub])
+// segSum is one segment's content checksum. OK false means there is no
+// sum to verify against — explicit, never a zero CRC. (Exported fields:
+// the snapshot manifest carries the slice through gob.)
+type segSum struct {
+	Sum uint32
+	OK  bool
+}
+
+// newObject builds an object descriptor and its segment index.
+func newObject(name string, segments []Segment, extents []extent, stripes int) *object {
+	o := &object{name: name, segments: segments, extents: extents, stripes: stripes,
+		segPos: make(map[int]int, len(segments)), segExt: make([][]extent, len(segments))}
+	for pos, m := range segments {
+		o.segPos[m.ID] = pos
 	}
-	return out
+	// Placement emits each segment's extents as one run, so the index is
+	// normally subslices of extents; a second run of the same segment
+	// (capacity is capped, so append copies) keeps it right for any
+	// extent order a manifest may carry.
+	for i := 0; i < len(extents); {
+		j := i + 1
+		for j < len(extents) && extents[j].seg == extents[i].seg {
+			j++
+		}
+		if pos, ok := o.segPos[extents[i].seg]; ok {
+			if o.segExt[pos] == nil {
+				o.segExt[pos] = extents[i:j:j]
+			} else {
+				o.segExt[pos] = append(o.segExt[pos], extents[i:j]...)
+			}
+		}
+		i = j
+	}
+	return o
+}
+
+// segSum returns segment pos's published content checksum, ok=false
+// when there is none.
+func (o *object) segSum(pos int) (sum uint32, ok bool) {
+	o.sumsMu.RLock()
+	defer o.sumsMu.RUnlock()
+	if pos < len(o.segSums) {
+		return o.segSums[pos].Sum, o.segSums[pos].OK
+	}
+	return 0, false
+}
+
+// setSegSum publishes (or, with the zero value, clears) segment pos's
+// content checksum. An object loaded without segment sums gains them
+// segment by segment as updates rewrite it.
+func (o *object) setSegSum(pos int, v segSum) {
+	o.sumsMu.Lock()
+	defer o.sumsMu.Unlock()
+	if o.segSums == nil && v.OK {
+		o.segSums = make([]segSum, len(o.segments))
+	}
+	if pos < len(o.segSums) {
+		o.segSums[pos] = v
+	}
+}
+
+// clearSegSums drops the content checksums of segments (by ID) whose
+// bytes a repair zero-filled: what the nodes hold is no longer what the
+// caller wrote.
+func (o *object) clearSegSums(ids []int) {
+	for _, id := range ids {
+		if pos, ok := o.segPos[id]; ok {
+			o.setSegSum(pos, segSum{})
+		}
+	}
 }
 
 // sumsRow returns the published checksum row for a stripe (nil when the
@@ -358,6 +440,7 @@ func Open(cfg Config) (*Store, error) {
 	s.metrics = newStoreMetrics(cfg.Obs)
 	s.admit = newLimiter(cfg.MaxInFlight, cfg.AdmitWait, &s.metrics)
 	s.colBufs = newColPool(cfg.NodeSize)
+	s.subShift = newCRCShift(cfg.NodeSize / cfg.Code.H)
 	s.tracker = cfg.Tracker
 	s.cache = tier.NewCache(cfg.CacheBytes, tier.CacheMetrics{
 		Hits:      s.metrics.cacheHits,
@@ -623,6 +706,7 @@ type preparedPut struct {
 	stripes int
 	cols    [][][]byte
 	meta    []Segment
+	segSums []segSum
 }
 
 // Put ingests the segments as a new object: plans placement, packs the
@@ -729,12 +813,16 @@ func (s *Store) preparePut(segs []Segment) (*preparedPut, error) {
 		return nil, err
 	}
 	// Keep segment metadata only; payload bytes live on the nodes and
-	// segment sizes are implied by the extents.
+	// segment sizes are implied by the extents. The content checksum is
+	// taken from the caller's bytes here, so journal replay (which comes
+	// through this function with the recorded segments) re-derives it.
 	meta := make([]Segment, len(segs))
+	segSums := make([]segSum, len(segs))
 	for i, seg := range segs {
 		meta[i] = Segment{ID: seg.ID, Important: seg.Important}
+		segSums[i] = segSum{Sum: colSum(seg.Data), OK: true}
 	}
-	return &preparedPut{extents: extents, stripes: stripes, cols: cols, meta: meta}, nil
+	return &preparedPut{extents: extents, stripes: stripes, cols: cols, meta: meta, segSums: segSums}, nil
 }
 
 // commitPut writes the prepared columns to the (healthy) nodes and
@@ -743,15 +831,13 @@ func (s *Store) preparePut(segs []Segment) (*preparedPut, error) {
 // failing is dropped — the column becomes an erasure that repair or
 // scrub heals later.
 func (s *Store) commitPut(name string, pp *preparedPut) {
-	h := s.cfg.Code.H
 	sums := make([][]uint32, pp.stripes)
 	subs := make([][][]uint32, pp.stripes)
 	for st, stripe := range pp.cols {
 		sums[st] = make([]uint32, len(stripe))
 		subs[st] = make([][]uint32, len(stripe))
 		for ni, col := range stripe {
-			sums[st][ni] = colSum(col)
-			subs[st][ni] = subColSums(col, h)
+			sums[st][ni], subs[st][ni] = s.colSums(col)
 			if s.nodeFailed(ni) {
 				continue
 			}
@@ -761,8 +847,8 @@ func (s *Store) commitPut(name string, pp *preparedPut) {
 			s.crash("put.mid-write")
 		}
 	}
-	obj := &object{name: name, segments: pp.meta, extents: pp.extents,
-		stripes: pp.stripes, sums: sums, subSums: subs}
+	obj := newObject(name, pp.meta, pp.extents, pp.stripes)
+	obj.sums, obj.subSums, obj.segSums = sums, subs, pp.segSums
 	s.objects.publish(name, obj)
 	// The node writes copied every column at the I/O boundary, so the
 	// encode buffers can go back to the pool.
@@ -804,8 +890,12 @@ func (s *Store) encodeStripes(cols [][][]byte) error {
 // verifies every column against its stored CRC-32C. Columns that fail
 // the checksum (or persistent I/O) are demoted to erasures — nil in the
 // returned set, listed in demoted — so the decode machinery heals
-// around them exactly as it does around crashed nodes.
-func (s *Store) readStripe(obj *object, stripe int) (cols [][]byte, demoted []int) {
+// around them exactly as it does around crashed nodes. rd is the
+// lock-free read this stripe is part of: a mismatch an UpdateSegment
+// explains tears the read instead of demoting (the column stays nil and
+// the caller discards the attempt). Callers that exclude updates pass
+// nil.
+func (s *Store) readStripe(obj *object, stripe int, rd *objRead) (cols [][]byte, demoted []int) {
 	cols = make([][]byte, len(s.nodes))
 	sums := obj.sumsRow(stripe)
 	for ni := range s.nodes {
@@ -819,6 +909,9 @@ func (s *Store) readStripe(obj *object, stripe int) (cols [][]byte, demoted []in
 		}
 		if len(data) != s.cfg.NodeSize ||
 			(sums != nil && ni < len(sums) && sums[ni] != 0 && colSum(data) != sums[ni]) {
+			if rd.overlapped() {
+				continue
+			}
 			s.demoteColumn(ni)
 			demoted = append(demoted, ni)
 			continue
@@ -884,13 +977,50 @@ func (s *Store) get(name string) ([]Segment, *GetReport, error) {
 	}()
 	// The critical section is the shard-map lookup alone: all column
 	// reads below run lock-free against the immutable object descriptor,
-	// so a slow degraded Get never blocks an unrelated Put.
+	// so a slow degraded Get never blocks an unrelated Put. Only a read
+	// an UpdateSegment of the same object overlapped repeats under that
+	// object's update lock (see objRead).
 	obj, ok := s.objects.get(name)
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	buf := make(map[int][]byte, len(obj.segments))
-	lost := make(map[int]bool)
+	rd := objRead{obj: obj, epoch: obj.version.Load()}
+	out := s.getOnce(obj, rep, &rd)
+	if rd.overlapped() {
+		obj.updateMu.Lock()
+		*rep = GetReport{}
+		out = s.getOnce(obj, rep, &objRead{obj: obj, locked: true})
+		obj.updateMu.Unlock()
+	}
+	return out, rep, nil
+}
+
+// getOnce is one attempt at reading every segment of the object; the
+// caller discards the result when rd ends up torn.
+func (s *Store) getOnce(obj *object, rep *GetReport, rd *objRead) []Segment {
+	// One arena sized from the extents holds every segment's bytes; each
+	// segment gets arena[a:b:b], the capacity capped so a caller's append
+	// cannot run into its neighbour. fill[pos] is where segment pos's
+	// next extent lands. The arena starts zeroed, which is the fill for
+	// lost extents.
+	out := make([]Segment, len(obj.segments))
+	fill := make([]int, len(obj.segments))
+	total := 0
+	for pos := range obj.segments {
+		fill[pos] = total
+		for _, e := range obj.segExt[pos] {
+			total += e.length
+		}
+	}
+	arena := make([]byte, total)
+	for pos, meta := range obj.segments {
+		end := total
+		if pos+1 < len(fill) {
+			end = fill[pos+1]
+		}
+		out[pos] = Segment{ID: meta.ID, Important: meta.Important, Data: arena[fill[pos]:end:end]}
+	}
+	lost := make([]bool, len(obj.segments))
 	// Group extents per stripe (the read planner needs the full set a
 	// stripe must serve), then cache assembled stripes and decoded
 	// sub-blocks.
@@ -901,9 +1031,16 @@ func (s *Store) get(name string) ([]Segment, *GetReport, error) {
 	stripeCache := make(map[int]*stripeRead)
 	blockCache := make(map[[3]int][]byte)
 	for _, e := range obj.extents {
+		if rd.torn {
+			return nil
+		}
+		pos, ok := obj.segPos[e.seg]
+		if !ok {
+			continue
+		}
 		sr, ok := stripeCache[e.stripe]
 		if !ok {
-			sr = s.readStripeForGet(obj, e.stripe, byStripe[e.stripe], rep)
+			sr = s.readStripeForGet(obj, e.stripe, byStripe[e.stripe], rep, rd)
 			stripeCache[e.stripe] = sr
 		}
 		key := [3]int{e.stripe, e.node, e.row}
@@ -916,7 +1053,7 @@ func (s *Store) get(name string) ([]Segment, *GetReport, error) {
 				// The planned set could not serve this sub-block after
 				// all — take the full-stripe final rung for the stripe.
 				s.metrics.planFallbacks.Inc()
-				cols, demoted := s.readStripe(obj, e.stripe)
+				cols, demoted := s.readStripe(obj, e.stripe, rd)
 				rep.ChecksumFailures += len(demoted)
 				sr = &stripeRead{cols: cols}
 				stripeCache[e.stripe] = sr
@@ -931,39 +1068,37 @@ func (s *Store) get(name string) ([]Segment, *GetReport, error) {
 			}
 			blockCache[key] = block
 		}
+		dst := arena[fill[pos] : fill[pos]+e.length]
+		fill[pos] += e.length
 		if block == nil {
-			lost[e.seg] = true
-			buf[e.seg] = append(buf[e.seg], make([]byte, e.length)...)
+			lost[pos] = true
 			continue
 		}
-		buf[e.seg] = append(buf[e.seg], block[e.off:e.off+e.length]...)
+		copy(dst, block[e.off:e.off+e.length])
 	}
-	out := make([]Segment, len(obj.segments))
-	important := make(map[int]bool, len(obj.segments))
-	for i, meta := range obj.segments {
-		out[i] = Segment{ID: meta.ID, Important: meta.Important, Data: buf[meta.ID]}
-		important[meta.ID] = meta.Important
-	}
-	for id := range lost {
-		rep.LostSegments = append(rep.LostSegments, id)
-		if !important[id] {
-			rep.Approximate = append(rep.Approximate, id)
+	for pos, l := range lost {
+		if !l {
+			continue
+		}
+		rep.LostSegments = append(rep.LostSegments, out[pos].ID)
+		if !out[pos].Important {
+			rep.Approximate = append(rep.Approximate, out[pos].ID)
 		}
 	}
 	sort.Ints(rep.LostSegments)
 	sort.Ints(rep.Approximate)
-	return out, rep, nil
+	return out
 }
 
 // GetSegment returns a single segment, decoding around failures. It
 // returns ErrUnavailable when the segment's data cannot be recovered.
 //
-// The fast path moves only the segment's own sub-block ranges via
-// partial-column reads (verified against per-sub-block checksums),
-// decoding erased sub-blocks from their codeword's minimal survivor
-// set. When planning or verification cannot apply — legacy objects
-// without sub-checksums, beyond-tolerance losses — it falls back to the
-// whole-object read, byte-for-byte the previous behaviour.
+// The fast path (getSegmentFast) moves exactly the segment's bytes when
+// its nodes are healthy, and otherwise only the segment's own sub-block
+// ranges, decoding erased sub-blocks from their codeword's minimal
+// survivor set. When planning or verification cannot apply — legacy
+// objects without sub-checksums, beyond-tolerance losses — it falls
+// back to the whole-object read.
 func (s *Store) GetSegment(name string, id int) (Segment, error) {
 	if err := s.admit.acquire("GetSegment"); err != nil {
 		return Segment{}, err
@@ -971,20 +1106,35 @@ func (s *Store) GetSegment(name string, id int) (Segment, error) {
 	defer s.admit.release()
 	defer s.metrics.opGetSegment.Start().Stop()
 	s.tracker.Touch(name)
+	obj, ok := s.objects.get(name)
+	if !ok {
+		return Segment{}, fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	pos, ok := obj.segPos[id]
+	if !ok {
+		return Segment{}, fmt.Errorf("%w: segment %d", ErrNotFound, id)
+	}
+	seg := Segment{ID: id, Important: obj.segments[pos].Important}
+	// The epoch (data version) captured before the read keys both the
+	// cache lookup and the later insert, so a result read concurrently
+	// with an update can only land under the old epoch — unreachable
+	// once the update bumps it.
+	rd := objRead{obj: obj, epoch: obj.version.Load()}
 	// Hot-tier objects consult the decoded-segment cache first: a hit
-	// is a map lookup plus one copy, no NodeIO at all. The epoch (data
-	// version) captured here also keys the later insert, so a result
-	// read concurrently with an update can only land under the old
-	// epoch — unreachable once the update bumps it.
-	seg, epoch, ok := s.cacheGet(name, id)
-	if ok {
+	// is a map lookup plus one copy, no NodeIO at all.
+	if seg.Data, ok = s.cacheGet(obj, id, rd.epoch); ok {
 		return seg, nil
 	}
-	if seg, done, err := s.getSegmentFast(name, id); done {
-		if err == nil {
-			s.cachePut(name, id, epoch, seg)
-		}
-		return seg, err
+	seg.Data, ok = s.getSegmentFast(obj, pos, &rd)
+	if rd.overlapped() {
+		obj.updateMu.Lock()
+		rd = objRead{obj: obj, epoch: obj.version.Load(), locked: true}
+		seg.Data, ok = s.getSegmentFast(obj, pos, &rd)
+		obj.updateMu.Unlock()
+	}
+	if ok {
+		s.cachePut(obj, id, rd.epoch, seg.Data)
+		return seg, nil
 	}
 	s.metrics.planFallbacks.Inc()
 	segs, rep, err := s.get(name)
@@ -996,13 +1146,10 @@ func (s *Store) GetSegment(name string, id int) (Segment, error) {
 			return Segment{}, fmt.Errorf("%w: segment %d", ErrUnavailable, id)
 		}
 	}
-	for _, seg := range segs {
-		if seg.ID == id {
-			s.cachePut(name, id, epoch, seg)
-			return seg, nil
-		}
-	}
-	return Segment{}, fmt.Errorf("%w: segment %d", ErrNotFound, id)
+	// A whole-object read that ran at a later epoch than rd's lands
+	// under a key no lookup will use again — wasted, never wrong.
+	s.cachePut(obj, id, rd.epoch, segs[pos].Data)
+	return segs[pos], nil
 }
 
 // FailNodes marks nodes as failed, dropping their contents (a crash).
@@ -1177,21 +1324,22 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 		go func() {
 			defer wg.Done()
 			for j := range jobCh {
-				cols, demoted := s.readStripe(j.obj, j.stripe)
-				if len(demoted) > 0 {
-					// A demote seen by the unsynchronized read may be an
-					// UpdateSegment in flight (columns written, checksums
-					// not yet published), not corruption. Re-read under
-					// the object's update lock — updates hold it across
-					// their writes AND checksum publication — so a demote
-					// that survives is genuinely damaged bytes, and the
-					// heal below cannot roll back a racing update. The
+				rd := objRead{obj: j.obj, epoch: j.obj.version.Load()}
+				cols, demoted := s.readStripe(j.obj, j.stripe, &rd)
+				if len(demoted) > 0 || rd.overlapped() {
+					// The lock-free pass either found damage or was torn
+					// by an UpdateSegment in flight (columns written,
+					// checksums not yet published — see objRead). Re-read
+					// under the object's update lock — updates hold it
+					// across their writes AND checksum publication — so a
+					// demote that survives is genuinely damaged bytes, and
+					// the heal below cannot roll back a racing update. The
 					// quiesce fence (taken first: it orders before
 					// updateMu) keeps the write-back and its checksum
 					// publication inside one Save snapshot.
 					s.quiesce.RLock()
 					j.obj.updateMu.Lock()
-					cols, demoted = s.readStripe(j.obj, j.stripe)
+					cols, demoted = s.readStripe(j.obj, j.stripe, nil)
 					var healedNow int
 					if len(demoted) > 0 {
 						mu.Lock()
@@ -1217,8 +1365,7 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 							if err := s.writeColumn(ni, j.obj.name, j.stripe, cols[ni]); err != nil {
 								continue
 							}
-							sums[ni] = colSum(cols[ni])
-							subUp[ni] = subColSums(cols[ni], s.cfg.Code.H)
+							sums[ni], subUp[ni] = s.colSums(cols[ni])
 						}
 						j.obj.setSums(j.stripe, len(s.nodes), sums)
 						j.obj.setSubSums(j.stripe, len(s.nodes), subUp)

@@ -130,7 +130,7 @@ func (s *Store) MigrateObject(name string, to tier.Level) error {
 	// old tier's extra redundancy. The epoch bump unkeys any cached
 	// decoded segments so post-migration reads re-derive them.
 	obj.setTier(to)
-	obj.version.Add(1)
+	obj.version.Add(2)
 	s.crash("migrate.after-commit")
 	s.dropTierRedundancy(obj, from, to)
 	if to.Rank() > from.Rank() {
@@ -148,7 +148,7 @@ func (s *Store) MigrateObject(name string, to tier.Level) error {
 // stripe that cannot be made whole fails the migration — redundancy
 // must be derived from true bytes, never guesses.
 func (s *Store) healthyStripe(obj *object, st int) ([][]byte, error) {
-	cols, _ := s.readStripe(obj, st)
+	cols, _ := s.readStripe(obj, st, nil)
 	var erased []int
 	for i, c := range cols {
 		if c == nil {
@@ -196,8 +196,7 @@ func (s *Store) buildTierRedundancy(obj *object, from, to tier.Level) (int64, er
 					return moved, fmt.Errorf("store migrate %q: write node %d: %w", obj.name, ni, err)
 				}
 				moved += int64(len(cols[ni]))
-				sums[ni] = colSum(cols[ni])
-				subSums[ni] = subColSums(cols[ni], s.cfg.Code.H)
+				sums[ni], subSums[ni] = s.colSums(cols[ni])
 			}
 			obj.setSums(st, len(s.nodes), sums)
 			obj.setSubSums(st, len(s.nodes), subSums)
@@ -278,7 +277,7 @@ func (s *Store) applyMigrate(mr migrateRecord) bool {
 	defer obj.updateMu.Unlock()
 	_, _ = s.buildTierRedundancy(obj, from, to) // best-effort: see above
 	obj.setTier(to)
-	obj.version.Add(1)
+	obj.version.Add(2)
 	s.dropTierRedundancy(obj, from, to)
 	return true
 }
@@ -311,43 +310,23 @@ func segKey(name string, id int, epoch int64) string {
 }
 
 // cacheGet serves a GetSegment from the decoded-segment cache. Only
-// hot-tier objects are cached. The returned epoch (valid even on a
-// miss) keys the caller's later insert, so a result read concurrently
-// with an update can only land under the superseded epoch.
-func (s *Store) cacheGet(name string, id int) (Segment, int64, bool) {
-	if s.cache == nil {
-		return Segment{}, -1, false
+// hot-tier objects are cached. epoch is the object's data epoch as the
+// caller captured it before reading; the same value keys the caller's
+// later insert, so a result read concurrently with an update can only
+// land under the superseded epoch.
+func (s *Store) cacheGet(obj *object, id int, epoch int64) ([]byte, bool) {
+	if s.cache == nil || obj.tierLevel() != tier.Hot {
+		return nil, false
 	}
-	obj, ok := s.objects.get(name)
-	if !ok {
-		return Segment{}, -1, false
-	}
-	epoch := obj.version.Load()
-	if obj.tierLevel() != tier.Hot {
-		return Segment{}, epoch, false
-	}
-	data, ok := s.cache.Get(segKey(name, id, epoch))
-	if !ok {
-		return Segment{}, epoch, false
-	}
-	for _, m := range obj.segments {
-		if m.ID == id {
-			return Segment{ID: id, Important: m.Important, Data: data}, epoch, true
-		}
-	}
-	return Segment{}, epoch, false
+	return s.cache.Get(segKey(obj.name, id, epoch))
 }
 
 // cachePut inserts a decoded segment under the epoch captured before
 // the read. The cache copies the payload in, so the store never aliases
 // a cached buffer to one the caller (or the column pool) may mutate.
-func (s *Store) cachePut(name string, id int, epoch int64, seg Segment) {
-	if s.cache == nil || epoch < 0 || len(seg.Data) == 0 {
+func (s *Store) cachePut(obj *object, id int, epoch int64, data []byte) {
+	if s.cache == nil || len(data) == 0 || obj.tierLevel() != tier.Hot {
 		return
 	}
-	obj, ok := s.objects.get(name)
-	if !ok || obj.tierLevel() != tier.Hot {
-		return
-	}
-	s.cache.Put(segKey(name, id, epoch), seg.Data)
+	s.cache.Put(segKey(obj.name, id, epoch), data)
 }

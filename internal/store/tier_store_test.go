@@ -183,8 +183,15 @@ func TestHotReplicaServesCorruptedColumn(t *testing.T) {
 			t.Fatalf("segment %d bytes differ", w.ID)
 		}
 	}
-	if st := s.Stats(); st.ChecksumDemotions == 0 {
+	st := s.Stats()
+	if st.ChecksumDemotions == 0 {
 		t.Fatal("corrupted column read did not count a checksum demotion")
+	}
+	// The exact-range rung in front hands a mismatch to the sub-block
+	// rung unchanged; that it was the replica (not a decode) that then
+	// served the damaged column's segments shows in the decode counter.
+	if st.DegradedSubReads != 0 {
+		t.Fatalf("%d sub-blocks decoded; the replica should have served them", st.DegradedSubReads)
 	}
 }
 

@@ -45,7 +45,7 @@ func (s *Store) UpdateSegment(name string, id int, newData []byte) error {
 // replayed update that fails — e.g. against nodes that failed later in
 // the journal — reproduces the original call's outcome, including any
 // partial stripe writes it had completed.
-func (s *Store) applyUpdate(name string, id int, newData []byte) error {
+func (s *Store) applyUpdate(name string, id int, newData []byte) (err error) {
 	obj, ok := s.objects.get(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
@@ -65,27 +65,39 @@ func (s *Store) applyUpdate(name string, id int, newData []byte) error {
 	if len(s.FailedNodes()) > 0 {
 		return fmt.Errorf("%w: cannot update with failed nodes (repair first)", ErrUnavailable)
 	}
-	// Bump the data epoch on entry AND exit: cached decoded segments
-	// keyed by the pre-update epoch stop serving the moment bytes may
-	// start moving, and a read racing the update can only insert under
-	// an epoch this second bump retires (see segKey).
+	// Bump the data epoch on entry AND exit, so it is odd exactly while
+	// bytes and checksums may disagree: lock-free readers blame a
+	// mismatch they hit meanwhile on this update instead of the node
+	// (see objRead), cached decoded segments keyed by the pre-update
+	// epoch stop serving the moment bytes may start moving, and a read
+	// racing the update can only insert under an epoch the second bump
+	// retires (see segKey).
 	obj.version.Add(1)
 	defer obj.version.Add(1)
-	var extents []extent
-	total := 0
-	for _, e := range obj.extents {
-		if e.seg == id {
-			extents = append(extents, e)
-			total += e.length
-		}
-	}
-	if len(extents) == 0 {
+	pos, ok := obj.segPos[id]
+	if !ok {
 		return fmt.Errorf("%w: segment %d", ErrNotFound, id)
+	}
+	extents := obj.segExt[pos]
+	total := 0
+	for _, e := range extents {
+		total += e.length
 	}
 	if len(newData) != total {
 		return fmt.Errorf("store: segment %d is %d bytes, got %d (resizing unsupported)",
 			id, total, len(newData))
 	}
+	// The content checksum follows the bytes: the new sum once every
+	// stripe has landed, none when the update failed part-way (the
+	// segment may then mix old and new sub-blocks, each still verified
+	// by its own sub-block sum, and reads go through those).
+	defer func() {
+		if err != nil {
+			obj.setSegSum(pos, segSum{})
+		} else {
+			obj.setSegSum(pos, segSum{Sum: colSum(newData), OK: true})
+		}
+	}()
 	// Group extents by stripe, preserving stream order within each.
 	byStripe := make(map[int][]extent)
 	var stripes []int
@@ -113,7 +125,7 @@ func (s *Store) applyUpdate(name string, id int, newData []byte) error {
 		// networked backend) must never feed code.Update — the poisoned
 		// parity deltas would be written back and re-checksummed as
 		// truth, making the corruption permanent and undetectable.
-		cols, _ := s.readStripe(obj, st)
+		cols, _ := s.readStripe(obj, st, nil)
 		var erased []int
 		for i, c := range cols {
 			if c == nil {
@@ -187,8 +199,7 @@ func (s *Store) applyUpdate(name string, id int, newData []byte) error {
 			if err := s.writeColumn(i, name, st, cols[i]); err != nil {
 				return fmt.Errorf("store update: write node %d: %w", i, err)
 			}
-			sums[i] = colSum(cols[i])
-			subSums[i] = subColSums(cols[i], s.cfg.Code.H)
+			sums[i], subSums[i] = s.colSums(cols[i])
 		}
 		obj.setSums(st, len(s.nodes), sums)
 		obj.setSubSums(st, len(s.nodes), subSums)
