@@ -92,10 +92,12 @@ topo-chaos:
 # Crash-consistency matrix: the journaled-store workload is killed at
 # every registered crash point (torn journal appends, mid-write, each
 # snapshot step, repair checkpoints) and recovered from the directory
-# alone, asserting acknowledged operations survive byte-exact. See
-# internal/chaos/crashtest and DESIGN.md §10.
+# alone, asserting acknowledged operations survive byte-exact; the
+# DataNode's column log gets the same treatment (torn appends, before
+# each sync, mid-compaction, and a truncation sweep over its records).
+# See internal/chaos/crashtest and DESIGN.md §10, §13.
 crash:
-	$(GO) test -run 'TestCrash|TestRepairResume|TestTruncation' ./internal/store/
+	$(GO) test -run 'TestCrash|TestRepairResume|TestTruncation' ./internal/store/ ./internal/net/
 
 # Each fuzz target runs alone (go test allows one -fuzz pattern per
 # package invocation), seeded by testdata/fuzz corpora.
@@ -108,6 +110,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseSchedule -fuzztime=$(FUZZTIME) ./internal/chaos/
 	$(GO) test -run=^$$ -fuzz=FuzzJournalRecords -fuzztime=$(FUZZTIME) ./internal/store/
 	$(GO) test -run=^$$ -fuzz=FuzzNetioDecode -fuzztime=$(FUZZTIME) ./internal/net/
+	$(GO) test -run=^$$ -fuzz=FuzzColumnLog -fuzztime=$(FUZZTIME) ./internal/net/
 
 # Focused concurrency hammer, repeated under the race detector: Stats
 # vs the mutating paths, UpdateSegment vs FailNodes, the obs registry's

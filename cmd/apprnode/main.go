@@ -178,6 +178,7 @@ func runData(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer backend.Close()
 	nodes, err := parseNodeList(*nodesFlag)
 	if err != nil {
 		return err

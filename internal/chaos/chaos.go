@@ -476,6 +476,36 @@ type CtxIO interface {
 	WriteColumnCtx(ctx context.Context, node int, object string, stripe int, data []byte) error
 }
 
+// ColumnWrite is one column of a batched write: what WriteColumn takes,
+// minus the object the whole batch shares. Nil Data deletes the column.
+type ColumnWrite struct {
+	Node   int
+	Stripe int
+	Data   []byte
+}
+
+// BatchWriter is the optional batched-write extension of NodeIO:
+// backends for which "these columns of one stripe" is cheaper than the
+// same columns one call at a time — one frame per DataNode on the wire,
+// one durable commit in a column log — implement it, and the storage
+// layer hands them a stripe's writes in one call. The result is nil
+// when every write landed, else it has one entry per write, in order
+// (read it with ErrAt): a failed column is an erasure to the caller
+// exactly as a failed WriteColumn is, and the other columns of the
+// batch land regardless. The Injector does not implement it, so a stack
+// with fault injection in it sees one op per column, as ever.
+type BatchWriter interface {
+	WriteColumnsCtx(ctx context.Context, object string, writes []ColumnWrite) []error
+}
+
+// ErrAt is write i's outcome in a WriteColumnsCtx result.
+func ErrAt(errs []error, i int) error {
+	if errs == nil {
+		return nil
+	}
+	return errs[i]
+}
+
 // sleepDelay serves an injected latency, honouring cancellation: a
 // latency rule delays the op only until the caller's context expires,
 // at which point the op fails with the context error instead of

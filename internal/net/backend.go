@@ -1,28 +1,23 @@
 package netio
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"approxcode/internal/chaos"
 )
 
 // A DataNode server fronts any chaos.NodeIO backend. Two are provided:
-// MemBackend for tests and demos, FileBackend for a DataNode that
-// persists its columns to a directory and survives process restarts
-// (the rejoin-after-kill path of the chaos suite).
+// MemBackend for tests and demos, FileBackend (columnlog.go) for a
+// DataNode that persists its columns to a directory and survives
+// process restarts (the rejoin-after-kill path of the chaos suite).
 
 // MemBackend is an in-memory column store implementing chaos.NodeIO and
 // chaos.PartialReader with the same semantics as the store's built-in
 // nodes: copies on every boundary (stored bytes are never aliased by
-// callers), chaos.ErrColumnMissing for absent columns.
+// callers), chaos.ErrColumnMissing for absent columns, an empty write
+// deletes. It takes writes one column at a time: a server over it runs
+// the per-column side of handleWriteBatch.
 type MemBackend struct {
 	mu sync.RWMutex
 	// columns[node][object][stripe]
@@ -82,133 +77,10 @@ func (m *MemBackend) WriteColumn(node int, object string, stripe int, data []byt
 		byStripe = make(map[int][]byte)
 		byObj[object] = byStripe
 	}
-	byStripe[stripe] = cp
-	return nil
-}
-
-// FileBackend stores each column as a file under
-//
-//	<root>/n<node>/<hex(object)>.<stripe>
-//
-// with write-temp-then-rename so a torn process death never leaves a
-// half column visible under the final name. Object names are
-// hex-encoded in file names, so arbitrary names (slashes, dots) are
-// safe.
-type FileBackend struct {
-	root string
-}
-
-// NewFileBackend creates (if needed) the root directory and returns a
-// file-backed NodeIO.
-func NewFileBackend(root string) (*FileBackend, error) {
-	if err := os.MkdirAll(root, 0o755); err != nil {
-		return nil, fmt.Errorf("netio: create backend root: %w", err)
-	}
-	return &FileBackend{root: root}, nil
-}
-
-func (f *FileBackend) columnPath(node int, object string, stripe int) string {
-	name := fmt.Sprintf("%x.%d", object, stripe)
-	return filepath.Join(f.root, "n"+strconv.Itoa(node), name)
-}
-
-// ReadColumn implements chaos.NodeIO.
-func (f *FileBackend) ReadColumn(node int, object string, stripe int) ([]byte, error) {
-	data, err := os.ReadFile(f.columnPath(node, object, stripe))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("%w: node %d %s/%d", chaos.ErrColumnMissing, node, object, stripe)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("netio: read column: %w", err)
-	}
-	return data, nil
-}
-
-// ReadColumnAt implements chaos.PartialReader without reading the whole
-// column: one pread of the requested range.
-func (f *FileBackend) ReadColumnAt(node int, object string, stripe, off, n int) ([]byte, error) {
-	if off < 0 || n < 0 {
-		return nil, fmt.Errorf("%w: negative range [%d,%d)", ErrInvalid, off, off+n)
-	}
-	fh, err := os.Open(f.columnPath(node, object, stripe))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("%w: node %d %s/%d", chaos.ErrColumnMissing, node, object, stripe)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("netio: open column: %w", err)
-	}
-	defer fh.Close()
-	st, err := fh.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("netio: stat column: %w", err)
-	}
-	// Sum in int64: off+n wraps on 32-bit platforms.
-	if int64(off)+int64(n) > st.Size() {
-		return nil, fmt.Errorf("%w: range [%d,%d) outside column of %d bytes",
-			ErrInvalid, off, int64(off)+int64(n), st.Size())
-	}
-	out := make([]byte, n)
-	if _, err := fh.ReadAt(out, int64(off)); err != nil {
-		return nil, fmt.Errorf("netio: read column range: %w", err)
-	}
-	return out, nil
-}
-
-// WriteColumn implements chaos.NodeIO.
-func (f *FileBackend) WriteColumn(node int, object string, stripe int, data []byte) error {
-	path := f.columnPath(node, object, stripe)
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("netio: create node dir: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, ".col-*")
-	if err != nil {
-		return fmt.Errorf("netio: create temp column: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("netio: write temp column: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("netio: sync temp column: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("netio: close temp column: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("netio: publish column: %w", err)
+	if len(cp) == 0 {
+		delete(byStripe, stripe)
+	} else {
+		byStripe[stripe] = cp
 	}
 	return nil
-}
-
-// Nodes lists the node indexes that have at least one column on disk,
-// sorted — a restarted DataNode uses this to re-register what it holds.
-func (f *FileBackend) Nodes() ([]int, error) {
-	entries, err := os.ReadDir(f.root)
-	if err != nil {
-		return nil, fmt.Errorf("netio: list backend root: %w", err)
-	}
-	var nodes []int
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		rest, ok := strings.CutPrefix(e.Name(), "n")
-		if !ok {
-			continue
-		}
-		n, err := strconv.Atoi(rest)
-		if err != nil || n < 0 {
-			continue
-		}
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	return nodes, nil
 }

@@ -22,9 +22,9 @@ import (
 // The client is the resilience wrapper (bounded retries with jittered
 // backoff, hedged reads, per-op deadlines — see internal/resilience)
 // over a raw transport it owns:
-//   - per-node connection pools with jittered reconnect behind a
-//     fail-fast dial circuit (a down node costs nothing after the first
-//     refusal),
+//   - one connection pool per DataNode address, with jittered reconnect
+//     behind a fail-fast dial circuit (a down DataNode costs every node
+//     slot it serves nothing after the first refusal),
 //   - one framed exchange per attempt, the context's deadline and
 //     cancellation carried down to the socket (a hedge loser's
 //     connection is dropped),
@@ -34,6 +34,9 @@ import (
 // plus a per-node health FSM with timed probe-through, so a black-holed
 // DataNode degrades into erasure — the store plans reads around it —
 // instead of every request burning its full deadline.
+//
+// It also implements chaos.BatchWriter: a stripe's columns leave as one
+// frame per DataNode (see WriteColumnsCtx).
 type Client struct {
 	retry    RetryPolicy       // the transport's share: dial timeout, redial backoff
 	policy   resilience.Policy // the wrapper's share, defaults filled
@@ -44,7 +47,8 @@ type Client struct {
 	m        clientMetrics
 
 	mu     sync.RWMutex
-	pools  map[int]*pool
+	routes map[int]*pool    // node index → the pool of the DataNode serving it
+	pools  map[string]*pool // DataNode address → its pool and dial circuit
 	closed bool
 }
 
@@ -129,7 +133,8 @@ type ClientConfig struct {
 	Retry RetryPolicy
 	// Health tunes the per-node health FSM.
 	Health HealthPolicy
-	// PoolSize caps idle pooled connections per node (default 2).
+	// PoolSize caps idle pooled connections per DataNode address
+	// (default 2).
 	PoolSize int
 	// Obs receives client metrics (nil disables).
 	Obs *obs.Registry
@@ -168,8 +173,9 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		health: resilience.NewHealth(cfg.Health.WithDefaults(HealthPolicy{
 			SuspectAfter: 3, FailAfter: 10, ProbationOK: 5, ProbeAfter: 250 * time.Millisecond,
 		})),
-		m:     newClientMetrics(cfg.Obs),
-		pools: make(map[int]*pool),
+		m:      newClientMetrics(cfg.Obs),
+		routes: make(map[int]*pool),
+		pools:  make(map[string]*pool),
 	}
 	c.io = resilience.Wrap(wire{c}, c.policy, c.health, resilience.Metrics{
 		Retries:   c.m.retries,
@@ -177,17 +183,28 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		HedgeWins: c.m.hedgeWins,
 	})
 	for node, addr := range nodes {
-		c.pools[node] = &pool{addr: addr, max: poolSize}
+		c.route(node, addr)
 	}
 	return c, nil
+}
+
+// route points node at addr's pool, creating the pool for an address
+// seen for the first time. Callers hold c.mu (or own c exclusively).
+func (c *Client) route(node int, addr string) {
+	p := c.pools[addr]
+	if p == nil {
+		p = &pool{addr: addr, max: c.poolSize}
+		c.pools[addr] = p
+	}
+	c.routes[node] = p
 }
 
 // Nodes returns the node indexes the client can route to, sorted.
 func (c *Client) Nodes() []int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]int, 0, len(c.pools))
-	for node := range c.pools {
+	out := make([]int, 0, len(c.routes))
+	for node := range c.routes {
 		out = append(out, node)
 	}
 	sort.Ints(out)
@@ -210,14 +227,19 @@ func (c *Client) RefreshMap() error {
 	c.mu.Lock()
 	if !c.closed {
 		for node, info := range fetched {
-			old := c.pools[node]
-			if old != nil && old.addr == info.Addr {
-				continue
+			c.route(node, info.Addr)
+		}
+		// A pool no node routes to any more belonged to a DataNode that
+		// moved or left.
+		used := make(map[*pool]bool, len(c.pools))
+		for _, p := range c.routes {
+			used[p] = true
+		}
+		for addr, p := range c.pools {
+			if !used[p] {
+				stale = append(stale, p)
+				delete(c.pools, addr)
 			}
-			if old != nil {
-				stale = append(stale, old)
-			}
-			c.pools[node] = &pool{addr: info.Addr, max: c.poolSize}
 		}
 	}
 	c.mu.Unlock()
@@ -253,14 +275,15 @@ func (c *Client) pool(node int) (*pool, error) {
 	if c.closed {
 		return nil, fmt.Errorf("%w: %w", chaos.ErrNodeUnavailable, ErrClosed)
 	}
-	p := c.pools[node]
+	p := c.routes[node]
 	if p == nil {
 		return nil, fmt.Errorf("%w: no route to node %d", ErrInvalid, node)
 	}
 	return p, nil
 }
 
-// pool is one node's connection pool plus its dial circuit.
+// pool is one DataNode's connection pool plus its dial circuit, shared
+// by every node index the DataNode serves.
 type pool struct {
 	addr string
 	max  int
@@ -331,11 +354,13 @@ func (p *pool) closeIdle() {
 	}
 }
 
-// roundTrip performs one framed request/response exchange on one
-// connection. The connection is pooled again only after a fully clean
+// roundTrip performs one framed request/response exchange with node's
+// DataNode on one connection: the request is head followed by bulk (see
+// writeFrame), the answer must be of type want, and its body is
+// returned. The connection is pooled again only after a fully clean
 // exchange — any transport hiccup, timeout, or protocol violation
 // poisons it.
-func (c *Client) roundTrip(ctx context.Context, node int, req []byte) ([]byte, error) {
+func (c *Client) roundTrip(ctx context.Context, node int, want msgType, head []byte, bulk ...[]byte) ([]byte, error) {
 	p, err := c.pool(node)
 	if err != nil {
 		return nil, err
@@ -361,7 +386,7 @@ func (c *Client) roundTrip(ctx context.Context, node int, req []byte) ([]byte, e
 	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Now()) })
 	defer stop()
 
-	if err := writeFrame(conn, req); err != nil {
+	if err := writeFrame(conn, head, bulk...); err != nil {
 		return nil, c.transportErr(ctx, node, "send", err)
 	}
 	resp, err := readFrame(conn)
@@ -380,7 +405,7 @@ func (c *Client) roundTrip(ctx context.Context, node int, req []byte) ([]byte, e
 		_ = conn.SetDeadline(time.Time{})
 		good = true
 		return nil, decodeErrResp(resp[1:])
-	case msgDataResp, msgOKResp:
+	case want:
 		if !stop() {
 			// Cancellation raced the response; the deadline may already
 			// have poisoned the socket, so do not pool it.
@@ -419,16 +444,36 @@ func (c *Client) transportErr(ctx context.Context, node int, verb string, err er
 type wire struct{ c *Client }
 
 func (w wire) ReadColumnCtx(ctx context.Context, node int, object string, stripe int) ([]byte, error) {
-	return w.c.roundTrip(ctx, node, encodeReadReq(node, object, stripe))
+	return w.c.roundTrip(ctx, node, msgDataResp, encodeReadReq(node, object, stripe))
 }
 
 func (w wire) ReadColumnAtCtx(ctx context.Context, node int, object string, stripe, off, n int) ([]byte, error) {
-	return w.c.roundTrip(ctx, node, encodeReadAtReq(node, object, stripe, off, n))
+	return w.c.roundTrip(ctx, node, msgDataResp, encodeReadAtReq(node, object, stripe, off, n))
 }
 
 func (w wire) WriteColumnCtx(ctx context.Context, node int, object string, stripe int, data []byte) error {
-	_, err := w.c.roundTrip(ctx, node, encodeWriteReq(node, object, stripe, data))
-	return err
+	return chaos.ErrAt(w.c.sendBatch(ctx, object, []chaos.ColumnWrite{{Node: node, Stripe: stripe, Data: data}}), 0)
+}
+
+// sendBatch is one write frame: the columns, all routed to one DataNode
+// (the first column's), leave as the frame head plus the callers' own
+// slices, and one status per column comes back — nil when all landed. A
+// failed exchange fails every column alike.
+func (c *Client) sendBatch(ctx context.Context, object string, writes []chaos.ColumnWrite) []error {
+	c.m.writeBatches.Inc()
+	body, err := c.roundTrip(ctx, writes[0].Node, msgWriteBatchResp,
+		encodeWriteBatchReq(object, writes), columnData(writes)...)
+	var errs []error
+	if err == nil {
+		errs, err = decodeWriteBatchResp(body, len(writes))
+	}
+	if err != nil {
+		errs = make([]error, len(writes))
+		for i := range errs {
+			errs[i] = err
+		}
+	}
+	return errs
 }
 
 // rpc accounts one client operation (counted once, however many
@@ -478,7 +523,89 @@ func (c *Client) WriteColumnCtx(ctx context.Context, node int, object string, st
 	_, err := c.rpc(node, &c.m.write, func() ([]byte, error) {
 		return nil, c.io.WriteColumnCtx(ctx, node, object, stripe, data)
 	})
+	if err == nil {
+		// rpc counts the bytes that came back; a write's are the ones
+		// that went out.
+		c.m.write.bytes.Add(int64(len(data)))
+	}
 	return err
+}
+
+// --- chaos.BatchWriter ---
+
+// maxBatchPayload is how many column bytes one write frame carries; a
+// DataNode's share of a larger batch goes out as several frames.
+const maxBatchPayload = maxFrame / 2
+
+// WriteColumnsCtx implements chaos.BatchWriter: the writes are grouped
+// by the DataNode serving each column's node and every group leaves as
+// one frame, so a DataNode makes its share of a stripe durable with one
+// commit. DataNodes are visited one after another — what a Put waits for
+// is the number of durable commits, not their order (DESIGN.md §10) —
+// and each group is one resilience operation: one deadline, retried as a
+// unit with only the columns still failing. Accounting is per column,
+// the same as len(writes) WriteColumnCtx calls.
+func (c *Client) WriteColumnsCtx(ctx context.Context, object string, writes []chaos.ColumnWrite) []error {
+	rm := &c.m.write
+	rm.total.Add(int64(len(writes)))
+	var errs []error
+	fail := func(i int, err error) {
+		if errs == nil {
+			errs = make([]error, len(writes))
+		}
+		errs[i] = err
+		rm.errors.Inc()
+	}
+	// Gate and group. A batch spans a handful of DataNodes, so groups
+	// are found by scanning.
+	type group struct {
+		p      *pool
+		writes []chaos.ColumnWrite
+		at     []int // writes[i] is the caller's writes[at[i]]
+		bytes  int
+	}
+	var groups []*group
+	for i, w := range writes {
+		p, err := c.pool(w.Node)
+		switch {
+		case w.Node < 0:
+			err = fmt.Errorf("%w: negative node %d", ErrInvalid, w.Node)
+		case err == nil && !c.health.Allow(w.Node):
+			c.m.fastFails.Inc()
+			err = fmt.Errorf("%w: node %d health-failed at client", chaos.ErrNodeUnavailable, w.Node)
+		}
+		if err != nil {
+			fail(i, err)
+			continue
+		}
+		var g *group
+		for _, have := range groups {
+			if have.p == p && have.bytes+len(w.Data) <= maxBatchPayload {
+				g = have
+			}
+		}
+		if g == nil {
+			g = &group{p: p}
+			groups = append(groups, g)
+		}
+		g.writes, g.at, g.bytes = append(g.writes, w), append(g.at, i), g.bytes+len(w.Data)
+	}
+	for _, g := range groups {
+		t0 := time.Now()
+		res := c.io.RetryColumns(ctx, g.writes, func(ctx context.Context, pending []chaos.ColumnWrite) []error {
+			return c.sendBatch(ctx, object, pending)
+		})
+		rm.seconds.Observe(time.Since(t0))
+		for i, w := range g.writes {
+			if err := chaos.ErrAt(res, i); err != nil {
+				fail(g.at[i], err)
+				continue
+			}
+			c.health.OK(w.Node)
+			rm.bytes.Add(int64(len(w.Data)))
+		}
+	}
+	return errs
 }
 
 // --- chaos.NodeIO + chaos.PartialReader ---
@@ -508,7 +635,7 @@ func (c *Client) Ping(ctx context.Context, node int) error {
 		ctx, cancel = context.WithTimeout(ctx, c.policy.OpDeadline)
 		defer cancel()
 	}
-	_, err := c.roundTrip(ctx, node, newEnc(msgPingReq).b)
+	_, err := c.roundTrip(ctx, node, msgOKResp, newEnc(msgPingReq).b)
 	c.m.ping.seconds.Observe(time.Since(t0))
 	if err != nil {
 		c.m.ping.errors.Inc()

@@ -35,6 +35,9 @@ func FuzzNetioDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { _ = srv.Close() })
+	// planBatch is the proxy's decoder of write frames; it needs no
+	// listener.
+	proxy := &ChaosProxy{inj: chaos.NewInjector(1)}
 	master, err := NewMaster(MasterConfig{})
 	if err != nil {
 		f.Fatal(err)
@@ -50,7 +53,8 @@ func FuzzNetioDecode(f *testing.F) {
 	}
 	f.Add(frame(encodeReadReq(1, "obj", 0)), uint32(1), uint32(0), uint32(0), uint32(64), "obj")
 	f.Add(frame(encodeReadAtReq(1, "obj", 0, 8, 16)), uint32(1), uint32(0), uint32(8), uint32(16), "obj")
-	f.Add(frame(encodeWriteReq(2, "videos/a", 3, []byte("column"))), uint32(2), uint32(3), uint32(0), uint32(0), "videos/a")
+	f.Add(frame(batchPayload(f, "videos/a", []chaos.ColumnWrite{{Node: 2, Stripe: 3, Data: []byte("column")}, {Node: 6, Stripe: 3}})), uint32(2), uint32(3), uint32(0), uint32(0), "videos/a")
+	f.Add(frame(encodeWriteBatchResp(3, []error{nil, chaos.ErrTransient, nil})), uint32(0), uint32(0), uint32(0), uint32(0), "")
 	f.Add(frame(encodeErrResp(chaos.ErrTransient)), uint32(0), uint32(0), uint32(0), uint32(0), "")
 	f.Add(frame(newEnc(msgRegisterReq).u32(2).u32(4).u32(5).str("10.0.0.1:7000").str("r1").str("z1").b), uint32(0), uint32(0), uint32(0), uint32(0), "")
 	f.Add(frame(newEnc(msgNodeMapResp).u32(1).u32(3).u8(0).u64(9).str("a:1").str("r").str("z").b), uint32(0), uint32(0), uint32(0), uint32(0), "")
@@ -65,6 +69,22 @@ func FuzzNetioDecode(f *testing.F) {
 			master.dispatch(payload)
 			body := payload[1:]
 			_ = decodeErrResp(body)
+			// A write batch: no more columns than table entries fit in
+			// the body, every column a slice of it; a status list of the
+			// count the caller expects, or an error.
+			if _, ws, err := decodeWriteBatchReq(body); err == nil {
+				total := 0
+				for _, w := range ws {
+					total += len(w.Data)
+				}
+				if len(ws)*12+total > len(body) {
+					t.Fatalf("batch of %d columns, %d bytes out of %d", len(ws), total, len(body))
+				}
+			}
+			if errs, err := decodeWriteBatchResp(body, int(n%8)); err == nil && errs != nil && len(errs) != int(n%8) {
+				t.Fatalf("%d statuses for %d columns", len(errs), n%8)
+			}
+			proxy.planBatch(payload)
 			if m, err := decodeNodeMap(newDec(body)); err == nil && len(m)*25 > len(body) {
 				t.Fatalf("node map of %d entries out of %d bytes", len(m), len(body))
 			}
@@ -101,15 +121,29 @@ func FuzzNetioDecode(f *testing.F) {
 		off, n = off%64, n%64
 		resp := srv.dispatch(unframe(encodeReadAtReq(1, "obj", 0, int(off), int(n))))
 		if off+n <= 64 {
-			if msgType(resp[0]) != msgDataResp || !bytes.Equal(resp[1:], column[off:off+n]) {
-				t.Fatalf("readat [%d,+%d) answered type 0x%02x, %d bytes", off, n, resp[0], len(resp)-1)
+			if msgType(resp.head[0]) != msgDataResp || len(resp.head) != 1 || !bytes.Equal(resp.data, column[off:off+n]) {
+				t.Fatalf("readat [%d,+%d) answered type 0x%02x, %d bytes", off, n, resp.head[0], len(resp.data))
 			}
-		} else if err := decodeErrResp(resp[1:]); msgType(resp[0]) != msgErrResp || !errors.Is(err, ErrInvalid) {
-			t.Fatalf("readat [%d,+%d) past the column: type 0x%02x, %v", off, n, resp[0], err)
+		} else if err := decodeErrResp(resp.head[1:]); msgType(resp.head[0]) != msgErrResp || !errors.Is(err, ErrInvalid) {
+			t.Fatalf("readat [%d,+%d) past the column: type 0x%02x, %v", off, n, resp.head[0], err)
 		}
-		wr, err := decodeWriteReq(unframe(encodeWriteReq(int(node), object, int(stripe), data))[1:])
-		if err != nil || wr.node != int(node) || wr.stripe != int(stripe) || wr.object != object || !bytes.Equal(wr.data, data) {
-			t.Fatalf("write request: %+v, %v", wr, err)
+		// A batch of the fuzzed column, a tombstone and the column's
+		// first half survives the frame and gets one status per column
+		// from the server.
+		sent := []chaos.ColumnWrite{{Node: int(node), Stripe: int(stripe), Data: data}, {Node: 1, Stripe: 2}, {Node: 3, Stripe: int(stripe), Data: data[:len(data)/2]}}
+		batch := batchPayload(t, object, sent)
+		gotObject, got, err := decodeWriteBatchReq(batch[1:])
+		if err != nil || gotObject != object || len(got) != len(sent) {
+			t.Fatalf("write batch: %q, %d columns, %v", gotObject, len(got), err)
+		}
+		for i, w := range sent {
+			if got[i].Node != w.Node || got[i].Stripe != w.Stripe || !bytes.Equal(got[i].Data, w.Data) {
+				t.Fatalf("write batch column %d: %+v", i, got[i])
+			}
+		}
+		resp = srv.dispatch(batch)
+		if errs, err := decodeWriteBatchResp(resp.head[1:], len(sent)); msgType(resp.head[0]) != msgWriteBatchResp || err != nil || errs != nil {
+			t.Fatalf("write batch answered type 0x%02x, %v, %v", resp.head[0], errs, err)
 		}
 		sentinels := []error{chaos.ErrNodeUnavailable, chaos.ErrColumnMissing, chaos.ErrTransient, ErrTimeout, ErrInvalid}
 		sentinel := sentinels[int(node)%len(sentinels)]

@@ -29,7 +29,9 @@ func newRPCMetrics(reg *obs.Registry, side, op string) rpcMetrics {
 }
 
 type serverMetrics struct {
+	// write counts columns; writeBatches the frames they arrived in.
 	read, readAt, write, ping rpcMetrics
+	writeBatches              *obs.Counter
 	conns                     *obs.Gauge
 	badFrames                 *obs.Counter
 }
@@ -42,6 +44,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		ping:   newRPCMetrics(reg, "server", "ping"),
 	}
 	if reg != nil {
+		m.writeBatches = reg.Counter("netio_server_write_batches_total")
 		m.conns = reg.Gauge("netio_server_conns")
 		m.badFrames = reg.Counter("netio_server_bad_frames_total")
 	}
@@ -49,7 +52,10 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 }
 
 type clientMetrics struct {
+	// write counts columns; writeBatches the frames sent for them
+	// (attempts included).
 	read, readAt, write, ping rpcMetrics
+	writeBatches              *obs.Counter
 	retries                   *obs.Counter
 	hedges                    *obs.Counter
 	hedgeWins                 *obs.Counter
@@ -66,6 +72,7 @@ func newClientMetrics(reg *obs.Registry) clientMetrics {
 		ping:   newRPCMetrics(reg, "client", "ping"),
 	}
 	if reg != nil {
+		m.writeBatches = reg.Counter("netio_client_write_batches_total")
 		m.retries = reg.Counter("netio_client_retries_total")
 		m.hedges = reg.Counter("netio_client_hedged_reads_total")
 		m.hedgeWins = reg.Counter("netio_client_hedge_wins_total")

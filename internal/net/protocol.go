@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 
 	"approxcode/internal/chaos"
 )
@@ -48,8 +49,11 @@ const (
 	// Data plane (DataNode).
 	msgReadReq   msgType = 0x01 // u32 node, u32 stripe, str object
 	msgReadAtReq msgType = 0x02 // u32 node, u32 stripe, u32 off, u32 n, str object
-	msgWriteReq  msgType = 0x03 // u32 node, u32 stripe, str object, u32 len, data
 	msgPingReq   msgType = 0x04 // empty
+	// str object, u32 n, n×(u32 node, u32 stripe, u32 len), then the n
+	// columns back to back; len 0 deletes the column. (0x03 was the
+	// single-column write this replaced.)
+	msgWriteBatchReq msgType = 0x05
 
 	// Control plane (master).
 	msgRegisterReq  msgType = 0x10 // u32 n, n×u32 nodes, str addr [, str rack, str zone]
@@ -58,18 +62,20 @@ const (
 	msgReportObjReq msgType = 0x13 // str name, u32 stripes
 	msgListObjReq   msgType = 0x14 // empty
 
-	msgDataResp      msgType = 0x81 // raw column/range bytes
-	msgOKResp        msgType = 0x82 // empty
-	msgErrResp       msgType = 0x83 // u8 code, str message
-	msgRegisterResp  msgType = 0x90 // u64 incarnation
-	msgHeartbeatResp msgType = 0x91 // u8 status (0 ok, 1 unknown — re-register)
-	msgNodeMapResp   msgType = 0x92 // u32 n, n×(u32 node, u8 state, u64 inc, str addr, str rack, str zone)
-	msgObjectsResp   msgType = 0x93 // u32 n, n×(str name, u32 stripes)
+	msgDataResp       msgType = 0x81 // raw column/range bytes
+	msgOKResp         msgType = 0x82 // empty
+	msgErrResp        msgType = 0x83 // u8 code, str message
+	msgWriteBatchResp msgType = 0x84 // u32 n, n×(u8 code [, str message when code != 0])
+	msgRegisterResp   msgType = 0x90 // u64 incarnation
+	msgHeartbeatResp  msgType = 0x91 // u8 status (0 ok, 1 unknown — re-register)
+	msgNodeMapResp    msgType = 0x92 // u32 n, n×(u32 node, u8 state, u64 inc, str addr, str rack, str zone)
+	msgObjectsResp    msgType = 0x93 // u32 n, n×(str name, u32 stripes)
 )
 
 // Error codes carried by msgErrResp, mapping the fault taxonomy across
 // the wire so errors.Is keeps working end to end.
 const (
+	codeOK          uint8 = 0 // msgWriteBatchResp only: the column landed
 	codeUnavailable uint8 = 1 // chaos.ErrNodeUnavailable
 	codeMissing     uint8 = 2 // chaos.ErrColumnMissing
 	codeTransient   uint8 = 3 // chaos.ErrTransient
@@ -97,19 +103,27 @@ var (
 	ErrClosed = errors.New("netio: closed")
 )
 
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProtocol, len(payload))
+// writeFrame writes one length-prefixed frame whose payload is head
+// followed by the bulk slices. Nothing is copied: on a socket the length
+// prefix, head and bulk go out as one writev, so a concurrent close
+// cannot tear the frame boundary and a column crosses this function
+// without being allocated again.
+func writeFrame(w io.Writer, head []byte, bulk ...[]byte) error {
+	n := len(head)
+	for _, b := range bulk {
+		n += len(b)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	// One writev-friendly write: header and payload go out together so
-	// a concurrent close cannot tear the frame boundary.
-	buf := make([]byte, 0, 4+len(payload))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, payload...)
-	_, err := w.Write(buf)
+	if n > maxFrame {
+		return fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProtocol, n)
+	}
+	bufs := make(net.Buffers, 0, 2+len(bulk))
+	bufs = append(bufs, binary.BigEndian.AppendUint32(nil, uint32(n)), head)
+	for _, b := range bulk {
+		if len(b) > 0 {
+			bufs = append(bufs, b)
+		}
+	}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 
@@ -133,12 +147,11 @@ func readFrame(r io.Reader) ([]byte, error) {
 // enc is an append-only payload encoder.
 type enc struct{ b []byte }
 
-func newEnc(t msgType) *enc        { return &enc{b: []byte{byte(t)}} }
-func (e *enc) u8(v uint8) *enc     { e.b = append(e.b, v); return e }
-func (e *enc) u32(v uint32) *enc   { e.b = binary.BigEndian.AppendUint32(e.b, v); return e }
-func (e *enc) u64(v uint64) *enc   { e.b = binary.BigEndian.AppendUint64(e.b, v); return e }
-func (e *enc) str(s string) *enc   { e.u32(uint32(len(s))); e.b = append(e.b, s...); return e }
-func (e *enc) bytes(p []byte) *enc { e.u32(uint32(len(p))); e.b = append(e.b, p...); return e }
+func newEnc(t msgType) *enc      { return &enc{b: []byte{byte(t)}} }
+func (e *enc) u8(v uint8) *enc   { e.b = append(e.b, v); return e }
+func (e *enc) u32(v uint32) *enc { e.b = binary.BigEndian.AppendUint32(e.b, v); return e }
+func (e *enc) u64(v uint64) *enc { e.b = binary.BigEndian.AppendUint64(e.b, v); return e }
+func (e *enc) str(s string) *enc { e.u32(uint32(len(s))); e.b = append(e.b, s...); return e }
 
 // dec is a cursor-based payload decoder; the first decode error sticks
 // and zero values flow from then on, so call sites check err once.
@@ -202,17 +215,6 @@ func (d *dec) str() string {
 	return v
 }
 
-func (d *dec) bytes() []byte {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || n > len(d.b)-d.off {
-		d.fail()
-		return nil
-	}
-	v := d.b[d.off : d.off+n]
-	d.off += n
-	return v
-}
-
 // Request encoders.
 
 func encodeReadReq(node int, object string, stripe int) []byte {
@@ -224,31 +226,101 @@ func encodeReadAtReq(node int, object string, stripe, off, n int) []byte {
 		u32(uint32(off)).u32(uint32(n)).str(object).b
 }
 
-func encodeWriteReq(node int, object string, stripe int, data []byte) []byte {
-	return newEnc(msgWriteReq).u32(uint32(node)).u32(uint32(stripe)).str(object).bytes(data).b
+// encodeWriteBatchReq returns the head of a msgWriteBatchReq; the frame
+// is this followed by each write's Data, which writeFrame sends from
+// where it lies.
+func encodeWriteBatchReq(object string, writes []chaos.ColumnWrite) []byte {
+	e := newEnc(msgWriteBatchReq).str(object).u32(uint32(len(writes)))
+	for _, w := range writes {
+		e.u32(uint32(w.Node)).u32(uint32(w.Stripe)).u32(uint32(len(w.Data)))
+	}
+	return e.b
 }
 
-// writeReq is a decoded msgWriteReq (the chaos proxy rewrites these for
-// torn and corrupt injections; data aliases the frame buffer).
-type writeReq struct {
-	node, stripe int
-	object       string
-	data         []byte
+// columnData lists the writes' payloads in order, writeFrame's bulk.
+func columnData(writes []chaos.ColumnWrite) [][]byte {
+	bulk := make([][]byte, len(writes))
+	for i, w := range writes {
+		bulk[i] = w.Data
+	}
+	return bulk
 }
 
-func decodeWriteReq(body []byte) (writeReq, error) {
+// decodeWriteBatchReq decodes a msgWriteBatchReq body. Each Data aliases
+// the frame buffer; nothing is allocated from an announced count or
+// length before the bytes it describes are known to be there.
+func decodeWriteBatchReq(body []byte) (object string, writes []chaos.ColumnWrite, err error) {
 	d := newDec(body)
-	r := writeReq{node: int(d.u32()), stripe: int(d.u32())}
-	r.object = d.str()
-	r.data = d.bytes()
-	return r, d.err
+	object = d.str()
+	n := int(d.u32())
+	if d.err != nil || n < 0 || n > d.remaining()/12 {
+		d.fail()
+		return "", nil, d.err
+	}
+	writes = make([]chaos.ColumnWrite, n)
+	data := body[d.off+12*n:] // the columns, behind the n table entries
+	for i := range writes {
+		w := &writes[i]
+		w.Node, w.Stripe = int(d.u32()), int(d.u32())
+		l := int(d.u32())
+		if l < 0 || l > len(data) {
+			d.fail()
+			return "", nil, d.err
+		}
+		if l > 0 {
+			w.Data, data = data[:l], data[l:]
+		}
+	}
+	if len(data) != 0 {
+		return "", nil, fmt.Errorf("%w: %d bytes after the last column", ErrProtocol, len(data))
+	}
+	return object, writes, nil
+}
+
+// encodeWriteBatchResp encodes one status per column; nil errs means
+// every column landed.
+func encodeWriteBatchResp(n int, errs []error) []byte {
+	e := newEnc(msgWriteBatchResp).u32(uint32(n))
+	for i := 0; i < n; i++ {
+		if err := chaos.ErrAt(errs, i); err != nil {
+			e.u8(errCode(err)).str(err.Error())
+		} else {
+			e.u8(codeOK)
+		}
+	}
+	return e.b
+}
+
+// decodeWriteBatchResp decodes the statuses of a batch of want columns:
+// nil when all landed, else one entry per column.
+func decodeWriteBatchResp(body []byte, want int) ([]error, error) {
+	d := newDec(body)
+	if n := int(d.u32()); d.err == nil && n != want {
+		return nil, fmt.Errorf("%w: %d statuses for %d columns", ErrProtocol, n, want)
+	}
+	var errs []error
+	for i := 0; i < want; i++ {
+		code := d.u8()
+		if code == codeOK {
+			continue
+		}
+		if errs == nil {
+			errs = make([]error, want)
+		}
+		errs[i] = errOfCode(code, d.str())
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return errs, nil
 }
 
 // opOfPayload maps a decoded request frame to the chaos.Op it
 // represents, so a transport-level injector evaluates the same schedule
 // the in-process injector would. Control-plane and unknown frames
 // return ok=false (they pass through uninjected; pings too — a health
-// probe models the operator, not the workload).
+// probe models the operator, not the workload), and so does a write
+// batch, which is one op per column (see ChaosProxy.planBatch).
 func opOfPayload(payload []byte) (chaos.Op, bool) {
 	if len(payload) == 0 {
 		return chaos.Op{}, false
@@ -265,42 +337,31 @@ func opOfPayload(payload []byte) (chaos.Op, bool) {
 		d.u32() // n
 		op.Object = d.str()
 		return op, d.err == nil
-	case msgWriteReq:
-		op := chaos.Op{Kind: chaos.OpWrite, Node: int(d.u32()), Stripe: int(d.u32())}
-		op.Object = d.str()
-		return op, d.err == nil
 	default:
 		return chaos.Op{}, false
 	}
 }
 
-// encodeErrResp maps an error to its wire form.
-func encodeErrResp(err error) []byte {
-	code := codeInternal
+// errCode maps an error to its wire code.
+func errCode(err error) uint8 {
 	switch {
 	case errors.Is(err, chaos.ErrColumnMissing):
-		code = codeMissing
+		return codeMissing
 	case errors.Is(err, chaos.ErrNodeUnavailable):
-		code = codeUnavailable
+		return codeUnavailable
 	case errors.Is(err, chaos.ErrTransient):
-		code = codeTransient
+		return codeTransient
 	case errors.Is(err, ErrTimeout):
-		code = codeTimeout
+		return codeTimeout
 	case errors.Is(err, ErrInvalid):
-		code = codeInvalid
+		return codeInvalid
 	}
-	return newEnc(msgErrResp).u8(code).str(err.Error()).b
+	return codeInternal
 }
 
-// decodeErrResp maps a wire error back to the sentinel taxonomy. The
+// errOfCode maps a wire code back to the sentinel taxonomy. The
 // original message rides along for diagnostics.
-func decodeErrResp(body []byte) error {
-	d := newDec(body)
-	code := d.u8()
-	msg := d.str()
-	if d.err != nil {
-		return d.err
-	}
+func errOfCode(code uint8, msg string) error {
 	switch code {
 	case codeMissing:
 		return fmt.Errorf("%w (remote: %s)", chaos.ErrColumnMissing, msg)
@@ -315,4 +376,20 @@ func decodeErrResp(body []byte) error {
 	default:
 		return fmt.Errorf("netio: remote error: %s", msg)
 	}
+}
+
+// encodeErrResp maps an error to its wire form.
+func encodeErrResp(err error) []byte {
+	return newEnc(msgErrResp).u8(errCode(err)).str(err.Error()).b
+}
+
+// decodeErrResp decodes a msgErrResp body into the error it carries.
+func decodeErrResp(body []byte) error {
+	d := newDec(body)
+	code := d.u8()
+	msg := d.str()
+	if d.err != nil {
+		return d.err
+	}
+	return errOfCode(code, msg)
 }

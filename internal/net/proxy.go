@@ -30,6 +30,14 @@ import (
 //     damage, as a bad disk would).
 //   - torn: a write's payload is truncated before forwarding.
 //
+// A write frame is a batch of columns and each column is one op: the
+// schedule is asked about them in frame order, exactly the sequence of
+// decisions the same columns written one by one would draw. Corrupt and
+// torn rewrite that column's bytes and a transient error answers for
+// that column alone (the others are forwarded); a crash or partition
+// decision on any column takes the whole frame — the connection carries
+// them all — and latencies add up.
+//
 // Control-plane and unknown frames pass through untouched unless the
 // proxy is partitioned, so the same proxy can front a DataNode's
 // heartbeat path when a test needs to cut a node off from the master.
@@ -163,10 +171,16 @@ func (p *ChaosProxy) serveConn(client net.Conn) {
 			p.swallowed.Inc()
 			continue
 		}
+		var b *batchPlan
+		var bulk [][]byte // what follows req in the forwarded frame
 		op, isData := opOfPayload(req)
 		var d chaos.Decision
-		if isData && p.inj != nil {
-			d = p.inj.Decide(op)
+		if p.inj != nil {
+			if isData {
+				d = p.inj.Decide(op)
+			} else if b = p.planBatch(req); b != nil {
+				d, req, bulk = b.frame, b.head, b.bulk
+			}
 		}
 		if d.Partitioned {
 			p.swallowed.Inc()
@@ -189,25 +203,27 @@ func (p *ChaosProxy) serveConn(client net.Conn) {
 			}
 			continue
 		}
-		if op.Kind == chaos.OpWrite && (d.CorruptBytes > 0 || d.Torn) {
-			req = p.rewriteWrite(req, d)
+		var resp []byte
+		if req != nil {
+			if !dialUpstream() {
+				// Target gone: same as a crashed node.
+				p.dropped.Inc()
+				return
+			}
+			if writeFrame(upstream, req, bulk...) != nil {
+				p.dropped.Inc()
+				return
+			}
+			if resp, err = readFrame(upstream); err != nil {
+				p.dropped.Inc()
+				return
+			}
 		}
-		if !dialUpstream() {
-			// Target gone: same as a crashed node.
-			p.dropped.Inc()
-			return
-		}
-		if writeFrame(upstream, req) != nil {
-			p.dropped.Inc()
-			return
-		}
-		resp, err := readFrame(upstream)
-		if err != nil {
-			p.dropped.Inc()
-			return
-		}
-		if isData && op.Kind != chaos.OpWrite && d.CorruptBytes > 0 {
+		if isData && d.CorruptBytes > 0 {
 			resp = p.corruptDataResp(resp, d.CorruptBytes)
+		}
+		if b != nil {
+			resp = b.mergeResp(resp)
 		}
 		if writeFrame(client, resp) != nil {
 			return
@@ -216,28 +232,95 @@ func (p *ChaosProxy) serveConn(client net.Conn) {
 	}
 }
 
-// rewriteWrite applies corrupt/torn decisions to a write request's
-// payload, re-encoding the frame.
-func (p *ChaosProxy) rewriteWrite(req []byte, d chaos.Decision) []byte {
-	wr, err := decodeWriteReq(req[1:])
+// batchPlan is the injector's verdict on one write frame.
+type batchPlan struct {
+	// frame is the part that applies to the frame as a whole: the first
+	// crash or partition among the columns, the summed latency.
+	frame chaos.Decision
+	// head and bulk are the frame to send on — the columns without an
+	// injected error, torn and corrupt ones rewritten; head is nil when
+	// no column is left.
+	head []byte
+	bulk [][]byte
+	// injected[i] is column i's injected error, nil for a forwarded
+	// column.
+	injected []error
+}
+
+// planBatch decides every column of a write frame, in order. It returns
+// nil for anything that is not a decodable write batch, which is then
+// forwarded as it is.
+func (p *ChaosProxy) planBatch(req []byte) *batchPlan {
+	if len(req) == 0 || msgType(req[0]) != msgWriteBatchReq {
+		return nil
+	}
+	object, writes, err := decodeWriteBatchReq(req[1:])
 	if err != nil {
-		return req // not decodable; forward as-is
+		return nil
 	}
-	data := wr.data
-	if d.Torn {
-		keep := int(float64(len(data)) * d.KeepFraction)
-		if keep < 0 {
-			keep = 0
+	b := &batchPlan{injected: make([]error, len(writes))}
+	kept := make([]chaos.ColumnWrite, 0, len(writes))
+	for i, w := range writes {
+		d := p.inj.Decide(chaos.Op{Kind: chaos.OpWrite, Node: w.Node, Object: object, Stripe: w.Stripe})
+		b.frame.Delay += d.Delay
+		switch {
+		case d.Partitioned:
+			b.frame.Partitioned = true
+		case errors.Is(d.Err, chaos.ErrNodeUnavailable):
+			if b.frame.Err == nil {
+				b.frame.Err = d.Err
+			}
+		case d.Err != nil:
+			b.injected[i] = d.Err
+		default:
+			if d.Torn {
+				keep := min(max(int(float64(len(w.Data))*d.KeepFraction), 0), len(w.Data))
+				w.Data = w.Data[:keep]
+			}
+			if d.CorruptBytes > 0 {
+				w.Data = p.inj.CorruptCopy(w.Data, d.CorruptBytes)
+			}
+			kept = append(kept, w)
 		}
-		if keep > len(data) {
-			keep = len(data)
+	}
+	if len(kept) > 0 {
+		b.head, b.bulk = encodeWriteBatchReq(object, kept), columnData(kept)
+	}
+	return b
+}
+
+// mergeResp builds the client's answer: the DataNode's statuses for the
+// forwarded columns (resp; nil when none was forwarded) with the
+// injected errors back in their places. A response that is not a batch
+// status list (the DataNode refused the frame) passes through.
+func (b *batchPlan) mergeResp(resp []byte) []byte {
+	forwarded := 0
+	for _, err := range b.injected {
+		if err == nil {
+			forwarded++
 		}
-		data = data[:keep]
 	}
-	if d.CorruptBytes > 0 {
-		data = p.inj.CorruptCopy(data, d.CorruptBytes)
+	var statuses []error
+	if resp != nil {
+		if len(resp) == 0 || msgType(resp[0]) != msgWriteBatchResp {
+			return resp
+		}
+		var err error
+		if statuses, err = decodeWriteBatchResp(resp[1:], forwarded); err != nil {
+			return resp
+		}
 	}
-	return encodeWriteReq(wr.node, wr.object, wr.stripe, data)
+	merged := make([]error, len(b.injected))
+	next := 0
+	for i, err := range b.injected {
+		if err != nil {
+			merged[i] = err
+			continue
+		}
+		merged[i] = chaos.ErrAt(statuses, next)
+		next++
+	}
+	return encodeWriteBatchResp(len(merged), merged)
 }
 
 // corruptDataResp flips bytes in a data response's payload. Error

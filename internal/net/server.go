@@ -1,6 +1,7 @@
 package netio
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -84,6 +85,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		m:    newServerMetrics(cfg.Obs),
 		stop: make(chan struct{}),
 	}
+	if sc, ok := cfg.Backend.(interface{ Syncs() int64 }); ok {
+		cfg.Obs.GaugeFunc("netio_backend_syncs_total", sc.Syncs)
+	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	if cfg.Master != "" {
@@ -149,17 +153,23 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		resp := s.dispatch(payload)
 		_ = conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		if err := writeFrame(conn, resp); err != nil {
+		if err := writeFrame(conn, resp.head, resp.data); err != nil {
 			return
 		}
 		_ = conn.SetWriteDeadline(time.Time{})
 	}
 }
 
-func (s *Server) dispatch(payload []byte) []byte {
+// reply is a response payload: head, then — for a data response — the
+// backend's buffer, which goes to the socket from where it lies.
+type reply struct{ head, data []byte }
+
+func errReply(err error) reply { return reply{head: encodeErrResp(err)} }
+
+func (s *Server) dispatch(payload []byte) reply {
 	if len(payload) == 0 {
 		s.m.badFrames.Inc()
-		return encodeErrResp(fmt.Errorf("%w: empty payload", ErrProtocol))
+		return errReply(fmt.Errorf("%w: empty payload", ErrProtocol))
 	}
 	body := payload[1:]
 	switch msgType(payload[0]) {
@@ -167,20 +177,20 @@ func (s *Server) dispatch(payload []byte) []byte {
 		return s.handleRead(body)
 	case msgReadAtReq:
 		return s.handleReadAt(body)
-	case msgWriteReq:
-		return s.handleWrite(body)
+	case msgWriteBatchReq:
+		return s.handleWriteBatch(body)
 	case msgPingReq:
 		t0 := time.Now()
 		s.m.ping.total.Inc()
 		s.m.ping.seconds.Observe(time.Since(t0))
-		return newEnc(msgOKResp).b
+		return reply{head: newEnc(msgOKResp).b}
 	default:
 		s.m.badFrames.Inc()
-		return encodeErrResp(fmt.Errorf("%w: unexpected message type 0x%02x", ErrInvalid, payload[0]))
+		return errReply(fmt.Errorf("%w: unexpected message type 0x%02x", ErrInvalid, payload[0]))
 	}
 }
 
-func (s *Server) handleRead(body []byte) []byte {
+func (s *Server) handleRead(body []byte) reply {
 	t0 := time.Now()
 	s.m.read.total.Inc()
 	d := newDec(body)
@@ -189,19 +199,19 @@ func (s *Server) handleRead(body []byte) []byte {
 	object := d.str()
 	if d.err != nil {
 		s.m.read.errors.Inc()
-		return encodeErrResp(d.err)
+		return errReply(d.err)
 	}
 	data, err := s.cfg.Backend.ReadColumn(node, object, stripe)
 	s.m.read.seconds.Observe(time.Since(t0))
 	if err != nil {
 		s.m.read.errors.Inc()
-		return encodeErrResp(err)
+		return errReply(err)
 	}
 	s.m.read.bytes.Add(int64(len(data)))
-	return append(newEnc(msgDataResp).b, data...)
+	return reply{head: newEnc(msgDataResp).b, data: data}
 }
 
-func (s *Server) handleReadAt(body []byte) []byte {
+func (s *Server) handleReadAt(body []byte) reply {
 	t0 := time.Now()
 	s.m.readAt.total.Inc()
 	d := newDec(body)
@@ -212,7 +222,7 @@ func (s *Server) handleReadAt(body []byte) []byte {
 	object := d.str()
 	if d.err != nil {
 		s.m.readAt.errors.Inc()
-		return encodeErrResp(d.err)
+		return errReply(d.err)
 	}
 	// Reject wire values that don't fit the platform int (or whose sum
 	// doesn't) before converting: on 32-bit a malformed request could
@@ -221,7 +231,7 @@ func (s *Server) handleReadAt(body []byte) []byte {
 	const maxInt = int64(^uint(0) >> 1)
 	if int64(offU) > maxInt || int64(nU) > maxInt || int64(offU)+int64(nU) > maxInt {
 		s.m.readAt.errors.Inc()
-		return encodeErrResp(fmt.Errorf("%w: range [%d,%d) exceeds platform limits",
+		return errReply(fmt.Errorf("%w: range [%d,%d) exceeds platform limits",
 			ErrInvalid, offU, int64(offU)+int64(nU)))
 	}
 	off, n := int(offU), int(nU)
@@ -246,28 +256,46 @@ func (s *Server) handleReadAt(body []byte) []byte {
 	s.m.readAt.seconds.Observe(time.Since(t0))
 	if err != nil {
 		s.m.readAt.errors.Inc()
-		return encodeErrResp(err)
+		return errReply(err)
 	}
 	s.m.readAt.bytes.Add(int64(len(data)))
-	return append(newEnc(msgDataResp).b, data...)
+	return reply{head: newEnc(msgDataResp).b, data: data}
 }
 
-func (s *Server) handleWrite(body []byte) []byte {
+// handleWriteBatch hands the frame's columns to the backend in one call
+// when it takes batches (a FileBackend commits them with one sync), and
+// one by one otherwise. Either way each column gets its own status.
+func (s *Server) handleWriteBatch(body []byte) reply {
 	t0 := time.Now()
-	s.m.write.total.Inc()
-	req, err := decodeWriteReq(body)
+	s.m.writeBatches.Inc()
+	object, writes, err := decodeWriteBatchReq(body)
 	if err != nil {
 		s.m.write.errors.Inc()
-		return encodeErrResp(err)
+		return errReply(err)
 	}
-	err = s.cfg.Backend.WriteColumn(req.node, req.object, req.stripe, req.data)
+	s.m.write.total.Add(int64(len(writes)))
+	var errs []error
+	if bw, ok := s.cfg.Backend.(chaos.BatchWriter); ok {
+		errs = bw.WriteColumnsCtx(context.Background(), object, writes)
+	} else {
+		for i, w := range writes {
+			if err := s.cfg.Backend.WriteColumn(w.Node, object, w.Stripe, w.Data); err != nil {
+				if errs == nil {
+					errs = make([]error, len(writes))
+				}
+				errs[i] = err
+			}
+		}
+	}
 	s.m.write.seconds.Observe(time.Since(t0))
-	if err != nil {
-		s.m.write.errors.Inc()
-		return encodeErrResp(err)
+	for i, w := range writes {
+		if chaos.ErrAt(errs, i) != nil {
+			s.m.write.errors.Inc()
+		} else {
+			s.m.write.bytes.Add(int64(len(w.Data)))
+		}
 	}
-	s.m.write.bytes.Add(int64(len(req.data)))
-	return newEnc(msgOKResp).b
+	return reply{head: encodeWriteBatchResp(len(writes), errs)}
 }
 
 // heartbeatLoop maintains the master lease: register (with retry) to

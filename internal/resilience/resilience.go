@@ -145,14 +145,45 @@ func pause(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// opContext bounds an operation by OpDeadline when the caller's context
+// has no deadline of its own.
+func (w *IO) opContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if _, ok := ctx.Deadline(); !ok && w.p.OpDeadline > 0 {
+		return context.WithTimeout(ctx, w.p.OpDeadline)
+	}
+	return ctx, func() {}
+}
+
+// backOff sleeps one jittered step of the backoff schedule and advances
+// it; false means no attempt can follow (the deadline would pass during
+// the sleep, or the context ended it).
+func (w *IO) backOff(ctx context.Context, backoff *time.Duration) bool {
+	d := w.Jitter(*backoff)
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= d {
+		return false
+	}
+	if w.sleep(ctx, d) != nil {
+		return false
+	}
+	w.m.Retries.Inc()
+	*backoff = min(2**backoff, w.p.MaxBackoff)
+	return true
+}
+
+// timedOut folds an expired context into err, so the caller sees
+// chaos.ErrTimeout whatever the last attempt happened to fail with.
+func timedOut(ctx context.Context, node int, err error) error {
+	if cerr := ctx.Err(); cerr != nil && !errors.Is(err, chaos.ErrTimeout) {
+		return fmt.Errorf("%w: node %d: %w (%w)", chaos.ErrTimeout, node, err, cerr)
+	}
+	return err
+}
+
 // run is the operation runner: op deadline, then bounded attempts of
 // leg with jittered backoff between them; reads are hedged.
 func (w *IO) run(ctx context.Context, node int, read bool, leg func(context.Context) ([]byte, error)) ([]byte, error) {
-	if _, ok := ctx.Deadline(); !ok && w.p.OpDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, w.p.OpDeadline)
-		defer cancel()
-	}
+	ctx, cancel := w.opContext(ctx)
+	defer cancel()
 	backoff := w.p.BaseBackoff
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -168,23 +199,63 @@ func (w *IO) run(ctx context.Context, node int, read bool, leg func(context.Cont
 		if read {
 			w.m.ReadErrors.Inc()
 		}
-		if w.h.Fail(node) == Failed || attempt >= w.p.MaxAttempts {
+		if w.h.Fail(node) == Failed || attempt >= w.p.MaxAttempts || !w.backOff(ctx, &backoff) {
 			break
 		}
-		d := w.Jitter(backoff)
-		if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= d {
-			break // no attempt could follow the sleep
+	}
+	return nil, timedOut(ctx, node, err)
+}
+
+// RetryColumns is the runner for a batched write (chaos.BatchWriter):
+// send is one attempt at the columns it is given and answers like
+// WriteColumnsCtx. The batch is one operation — one deadline, one
+// backoff schedule — retried as a unit, except that each retry carries
+// only the columns still failing with something a retry can fix: per
+// column the outcome is what WriteColumnCtx would have produced.
+func (w *IO) RetryColumns(ctx context.Context, writes []chaos.ColumnWrite,
+	send func(context.Context, []chaos.ColumnWrite) []error) []error {
+	ctx, cancel := w.opContext(ctx)
+	defer cancel()
+	backoff := w.p.BaseBackoff
+	var errs []error // the result, allocated by the first failure
+	pending := writes
+	var at []int // pending[i] is writes[at[i]]; nil on the first attempt, when they are the same
+	for attempt := 1; ; attempt++ {
+		res := send(ctx, pending)
+		if res == nil && errs == nil {
+			return nil
 		}
-		if w.sleep(ctx, d) != nil {
+		if errs == nil {
+			errs = make([]error, len(writes))
+		}
+		var again []chaos.ColumnWrite
+		var againAt []int
+		for i, cw := range pending {
+			j := i
+			if at != nil {
+				j = at[i]
+			}
+			errs[j] = chaos.ErrAt(res, i)
+			if errs[j] == nil {
+				continue
+			}
+			if !permanent(errs[j]) && w.h.Fail(cw.Node) != Failed {
+				again = append(again, cw)
+				againAt = append(againAt, j)
+			}
+		}
+		if len(again) == 0 {
+			return errs
+		}
+		pending, at = again, againAt
+		if attempt >= w.p.MaxAttempts || !w.backOff(ctx, &backoff) {
 			break
 		}
-		w.m.Retries.Inc()
-		backoff = min(2*backoff, w.p.MaxBackoff)
 	}
-	if cerr := ctx.Err(); cerr != nil && !errors.Is(err, chaos.ErrTimeout) {
-		err = fmt.Errorf("%w: node %d: %w (%w)", chaos.ErrTimeout, node, err, cerr)
+	for i, j := range at {
+		errs[j] = timedOut(ctx, pending[i].Node, errs[j])
 	}
-	return nil, err
+	return errs
 }
 
 // hedged runs one read attempt as a race: if the primary leg has not

@@ -373,3 +373,76 @@ func TestPolicyDefaults(t *testing.T) {
 		t.Fatalf("negative HedgeDelay (hedging off) was overwritten: %v", got.HedgeDelay)
 	}
 }
+
+// TestRetryColumns scripts a batched write through the runner: each
+// retry carries only the columns still failing with something a retry
+// can fix, a permanent error and a node the report just failed drop out,
+// the attempt bound ends the loop, and every column ends with the
+// outcome a single write would have had.
+func TestRetryColumns(t *testing.T) {
+	transient := fmt.Errorf("%w: flaky", chaos.ErrTransient)
+	invalid := fmt.Errorf("%w: no such column", chaos.ErrInvalid)
+	writes := make([]chaos.ColumnWrite, 5)
+	for i := range writes {
+		writes[i] = chaos.ColumnWrite{Node: i, Stripe: 0, Data: []byte{byte(i)}}
+	}
+	// What each attempt answers, by node: nodes 1 and 3 need two and
+	// three tries, node 2 is refused for good, node 4 never recovers.
+	answers := []map[int]error{
+		{1: transient, 2: invalid, 3: transient, 4: transient},
+		{3: transient, 4: transient},
+		{4: transient},
+		{4: errBoom},
+	}
+	var sent [][]int
+	send := func(_ context.Context, pending []chaos.ColumnWrite) []error {
+		var nodes []int
+		errs := make([]error, len(pending))
+		for i, w := range pending {
+			nodes = append(nodes, w.Node)
+			errs[i] = answers[len(sent)][w.Node]
+		}
+		sent = append(sent, nodes)
+		return errs
+	}
+	c := newCounters()
+	w := Wrap(ctxIO{newScript()}, Policy{MaxAttempts: 4, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond, OpDeadline: time.Second}, lenientHealth(), c.m)
+	errs := w.RetryColumns(bg, writes, send)
+	if want := [][]int{{0, 1, 2, 3, 4}, {1, 3, 4}, {3, 4}, {4}}; !reflect.DeepEqual(sent, want) {
+		t.Fatalf("attempts carried %v, want %v", sent, want)
+	}
+	if errs[0] != nil || errs[1] != nil || errs[3] != nil || !errors.Is(errs[2], chaos.ErrInvalid) || !errors.Is(errs[4], errBoom) {
+		t.Fatalf("outcomes: %v", errs)
+	}
+	if c.retries.Value() != 3 {
+		t.Fatalf("retries = %d, want 3", c.retries.Value())
+	}
+
+	// All landing first time costs nothing: no result slice at all.
+	if errs := w.RetryColumns(bg, writes, func(context.Context, []chaos.ColumnWrite) []error { return nil }); errs != nil {
+		t.Fatalf("clean batch: %v", errs)
+	}
+
+	// A node the failure report just failed is not retried; the others
+	// are.
+	strict := NewHealth(HealthPolicy{SuspectAfter: 1, FailAfter: 1, ProbationOK: 1})
+	w = Wrap(ctxIO{newScript()}, Policy{MaxAttempts: 4, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond, OpDeadline: time.Second}, strict, Metrics{})
+	attempts := 0
+	errs = w.RetryColumns(bg, writes[:2], func(_ context.Context, pending []chaos.ColumnWrite) []error {
+		attempts++
+		return []error{transient, nil}[:len(pending)]
+	})
+	if attempts != 1 || !errors.Is(errs[0], chaos.ErrTransient) || errs[1] != nil {
+		t.Fatalf("health-failed node: %d attempts, %v", attempts, errs)
+	}
+
+	// The op deadline ends the loop and marks what was still pending.
+	w = Wrap(ctxIO{newScript()}, Policy{MaxAttempts: 100, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 5 * time.Millisecond, OpDeadline: 20 * time.Millisecond}, lenientHealth(), Metrics{})
+	errs = w.RetryColumns(bg, writes[:1], func(ctx context.Context, pending []chaos.ColumnWrite) []error {
+		<-ctx.Done()
+		return []error{errBoom}
+	})
+	if !errors.Is(errs[0], chaos.ErrTimeout) || !errors.Is(errs[0], errBoom) {
+		t.Fatalf("expired batch: %v", errs)
+	}
+}

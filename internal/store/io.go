@@ -143,17 +143,20 @@ func (m *memIO) WriteColumn(node int, object string, stripe int, data []byte) er
 type attemptIO struct {
 	m  *storeMetrics
 	io chaos.NodeIO
-	// cio and pr are the stack's optional extensions, nil when absent:
-	// without either a partial read moves (and accounts) the whole
-	// column.
+	// cio, pr and bw are the stack's optional extensions, nil when
+	// absent: without cio or pr a partial read moves (and accounts) the
+	// whole column; without bw a stripe's columns are written one call
+	// at a time (see columnWriter).
 	cio chaos.CtxIO
 	pr  chaos.PartialReader
+	bw  chaos.BatchWriter
 }
 
 func newAttemptIO(io chaos.NodeIO, m *storeMetrics) *attemptIO {
 	a := &attemptIO{m: m, io: io}
 	a.cio, _ = io.(chaos.CtxIO)
 	a.pr, _ = io.(chaos.PartialReader)
+	a.bw, _ = io.(chaos.BatchWriter)
 	return a
 }
 
@@ -223,6 +226,22 @@ func (a *attemptIO) WriteColumnCtx(ctx context.Context, node int, object string,
 	return err
 }
 
+// WriteColumnsCtx is one batched attempt (a.bw must be set): a single
+// timed call, accounted per column exactly as the same columns written
+// one by one would be.
+func (a *attemptIO) WriteColumnsCtx(ctx context.Context, object string, writes []chaos.ColumnWrite) []error {
+	t := a.m.nodeWrite.Start()
+	errs := a.bw.WriteColumnsCtx(ctx, object, writes)
+	t.Stop()
+	a.m.writeAttempts.Add(int64(len(writes)))
+	for i, w := range writes {
+		if chaos.ErrAt(errs, i) == nil {
+			a.m.writeBytes.Add(int64(len(w.Data)))
+		}
+	}
+	return errs
+}
+
 // readGate refuses a read the store already knows is an erasure.
 func (s *Store) readGate(node int) error {
 	if !s.health.Allow(node) {
@@ -268,14 +287,81 @@ func (s *Store) readColumnAt(node int, object string, stripe, off, n int) ([]byt
 	return data, err
 }
 
-// writeColumn writes one column. It is not gated on health or the fail
-// set: repair writes provision the replacement of a failed node, and
-// callers that must not write to failed nodes check the flag
-// themselves.
-func (s *Store) writeColumn(node int, object string, stripe int, data []byte) error {
-	err := s.io.WriteColumnCtx(context.Background(), node, object, stripe, data)
+// columnWriter writes the columns of one object that a caller writes
+// together — normally one stripe's. Over a backend with the batched-
+// write extension and nothing wrapped around it (a netio.Client), add
+// only collects and flush sends them down in one call, which the
+// backend turns into one frame and one durable commit per DataNode.
+// Over any other stack — memIO, a Config.WrapIO injector or tap — add
+// is the write, one column at a time while the caller still has it in
+// cache, and flush only reports. A failFast writer always works that
+// way, whatever the backend, and stops at the first failure: that is
+// for a caller to whom every column written before a failure is damage
+// (UpdateSegment), which a batch cannot limit.
+//
+// Writes are not gated on health or the fail set: repair writes
+// provision the replacement of a failed node, and callers that must not
+// write to failed nodes check the flag themselves. A batch never names
+// a node twice, so failures are reported by node.
+type columnWriter struct {
+	s        *Store
+	object   string
+	failFast bool
+	stopped  bool
+	pending  []chaos.ColumnWrite
+	failed   map[int]error
+}
+
+func (s *Store) columnWriter(object string, failFast bool) *columnWriter {
+	return &columnWriter{s: s, object: object, failFast: failFast}
+}
+
+func (w *columnWriter) done(node int, err error) {
 	if err == nil {
-		s.health.OK(node)
+		w.s.health.OK(node)
+		return
 	}
-	return err
+	if w.failed == nil {
+		w.failed = make(map[int]error)
+	}
+	w.failed[node] = err
+}
+
+// add queues or performs the write of one column; nil data deletes it.
+func (w *columnWriter) add(node, stripe int, data []byte) {
+	switch {
+	case w.s.batch != nil && !w.failFast:
+		w.pending = append(w.pending, chaos.ColumnWrite{Node: node, Stripe: stripe, Data: data})
+	case !w.stopped:
+		err := w.s.io.WriteColumnCtx(context.Background(), node, w.object, stripe, data)
+		w.done(node, err)
+		w.stopped = w.failFast && err != nil
+	}
+}
+
+// flush completes the writes added since the last flush and returns the
+// ones that failed, by node: nil when all landed. The writer is ready
+// for the next stripe.
+func (w *columnWriter) flush() map[int]error {
+	if len(w.pending) > 0 {
+		errs := w.s.batch.WriteColumnsCtx(context.Background(), w.object, w.pending)
+		for i, cw := range w.pending {
+			w.done(cw.Node, chaos.ErrAt(errs, i))
+		}
+		w.pending = w.pending[:0]
+	}
+	failed := w.failed
+	w.failed, w.stopped = nil, false
+	return failed
+}
+
+// firstFailure returns the failed write on the lowest node of a flush.
+func firstFailure(failed map[int]error) (node int, err error) {
+	node = -1
+	for n := range failed {
+		if node < 0 || n < node {
+			node = n
+		}
+	}
+	return node, failed[node]
 }

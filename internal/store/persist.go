@@ -764,14 +764,18 @@ func (s *Store) applyRepairStripe(sr repairStripeRecord) {
 	}
 	sums := make(map[int]uint32, len(sr.Cols))
 	subSums := make(map[int][]uint32, len(sr.Cols))
+	// memIO ignores the crash flag (repair provisions replacement nodes
+	// under the failed index), so replay lands the bytes even though
+	// the node stays failed until the done record.
+	w := s.columnWriter(sr.Object, false)
 	for ni, col := range sr.Cols {
-		if ni < 0 || ni >= len(s.nodes) {
-			continue
+		if ni >= 0 && ni < len(s.nodes) {
+			w.add(ni, sr.Stripe, col)
 		}
-		// memIO ignores the crash flag (repair provisions replacement
-		// nodes under the failed index), so replay lands the bytes even
-		// though the node stays failed until the done record.
-		if err := s.writeColumn(ni, sr.Object, sr.Stripe, col); err != nil {
+	}
+	failed := w.flush()
+	for ni, col := range sr.Cols {
+		if ni < 0 || ni >= len(s.nodes) || failed[ni] != nil {
 			continue
 		}
 		if sum, ok := sr.Sums[ni]; ok {

@@ -667,18 +667,19 @@ func (r *Repair) repairStripe(j repairJob) {
 			return
 		}
 		s.crash("repair.after-checkpoint")
-		healed := 0
+		w := s.columnWriter(j.obj.name, false)
 		for ni, col := range writeSet {
-			if err := s.writeColumn(ni, j.obj.name, j.stripe, col); err != nil {
-				r.mu.Lock()
-				r.writeBad[ni] = true
-				r.mu.Unlock()
-				delete(sums, ni)
-				delete(subs, ni)
-				continue
-			}
-			healed++
+			w.add(ni, j.stripe, col)
 		}
+		failed := w.flush()
+		for ni := range failed {
+			r.mu.Lock()
+			r.writeBad[ni] = true
+			r.mu.Unlock()
+			delete(sums, ni)
+			delete(subs, ni)
+		}
+		healed := len(writeSet) - len(failed)
 		j.obj.setSums(j.stripe, len(s.nodes), sums)
 		j.obj.setSubSums(j.stripe, len(s.nodes), subs)
 		j.obj.clearSegSums(lostSegs)

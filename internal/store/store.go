@@ -140,8 +140,11 @@ type Store struct {
 	// resilience wrapper in front of it. extBackend marks a
 	// caller-provided backend, whose reads the store gates on its
 	// administrative fail set (the built-in memIO checks the flag
-	// itself).
+	// itself). batch is the same single attempt in batched form, set
+	// when the backend takes a stripe's columns in one call and nothing
+	// is wrapped around it (see columnWriter).
 	io         chaos.CtxIO
+	batch      chaos.BatchWriter
 	extBackend bool
 	health     *resilience.Health
 	metrics    storeMetrics
@@ -462,7 +465,11 @@ func Open(cfg Config) (*Store, error) {
 		// Nothing between the store and its backend can fail
 		// transiently (memIO) or the backend heals itself at its own
 		// edge (netio.Client): every operation is a single attempt.
-		s.io = newAttemptIO(base, &s.metrics)
+		a := newAttemptIO(base, &s.metrics)
+		s.io = a
+		if a.bw != nil {
+			s.batch = a
+		}
 	} else {
 		s.io = resilience.Wrap(newAttemptIO(cfg.WrapIO(base), &s.metrics),
 			cfg.Retry.WithDefaults(defaultRetry), s.health,
@@ -833,16 +840,17 @@ func (s *Store) preparePut(segs []Segment) (*preparedPut, error) {
 func (s *Store) commitPut(name string, pp *preparedPut) {
 	sums := make([][]uint32, pp.stripes)
 	subs := make([][][]uint32, pp.stripes)
+	w := s.columnWriter(name, false)
 	for st, stripe := range pp.cols {
 		sums[st] = make([]uint32, len(stripe))
 		subs[st] = make([][]uint32, len(stripe))
 		for ni, col := range stripe {
 			sums[st][ni], subs[st][ni] = s.colSums(col)
-			if s.nodeFailed(ni) {
-				continue
+			if !s.nodeFailed(ni) {
+				w.add(ni, st, col)
 			}
-			_ = s.writeColumn(ni, name, st, col)
 		}
+		_ = w.flush() // a column that failed to land is an erasure
 		if st == 0 {
 			s.crash("put.mid-write")
 		}
@@ -1358,14 +1366,19 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 						// nodes that crashed meanwhile — repair's job).
 						sums := make(map[int]uint32)
 						subUp := make(map[int][]uint32)
+						w := s.columnWriter(j.obj.name, false)
+						var written []int
 						for _, ni := range demoted {
-							if cols[ni] == nil || s.nodeFailed(ni) {
-								continue
+							if cols[ni] != nil && !s.nodeFailed(ni) {
+								w.add(ni, j.stripe, cols[ni])
+								written = append(written, ni)
 							}
-							if err := s.writeColumn(ni, j.obj.name, j.stripe, cols[ni]); err != nil {
-								continue
+						}
+						failed := w.flush()
+						for _, ni := range written {
+							if failed[ni] == nil {
+								sums[ni], subUp[ni] = s.colSums(cols[ni])
 							}
-							sums[ni], subUp[ni] = s.colSums(cols[ni])
 						}
 						j.obj.setSums(j.stripe, len(s.nodes), sums)
 						j.obj.setSubSums(j.stripe, len(s.nodes), subUp)

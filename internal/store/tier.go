@@ -186,27 +186,31 @@ func (s *Store) buildTierRedundancy(obj *object, from, to tier.Level) (int64, er
 			return moved, fmt.Errorf("store migrate %q: stripe %d: %w", obj.name, st, err)
 		}
 		if needGlobals {
+			w := s.columnWriter(obj.name, false)
 			sums := make(map[int]uint32)
 			subSums := make(map[int][]uint32)
 			for ni := range cols {
 				if s.code.Role(ni) != core.RoleGlobalParity {
 					continue
 				}
-				if err := s.writeColumn(ni, obj.name, st, cols[ni]); err != nil {
-					return moved, fmt.Errorf("store migrate %q: write node %d: %w", obj.name, ni, err)
-				}
+				w.add(ni, st, cols[ni])
 				moved += int64(len(cols[ni]))
 				sums[ni], subSums[ni] = s.colSums(cols[ni])
+			}
+			if node, err := firstFailure(w.flush()); err != nil {
+				return moved, fmt.Errorf("store migrate %q: write node %d: %w", obj.name, node, err)
 			}
 			obj.setSums(st, len(s.nodes), sums)
 			obj.setSubSums(st, len(s.nodes), subSums)
 		}
 		if needReplicas {
+			w := s.columnWriter(repKey(obj.name), false)
 			for _, ni := range dataIdx {
-				if err := s.writeColumn(s.repNode(ni), repKey(obj.name), st, cols[ni]); err != nil {
-					return moved, fmt.Errorf("store migrate %q: replica of node %d: %w", obj.name, ni, err)
-				}
+				w.add(s.repNode(ni), st, cols[ni])
 				moved += int64(len(cols[ni]))
+			}
+			if node, err := firstFailure(w.flush()); err != nil {
+				return moved, fmt.Errorf("store migrate %q: replica on node %d: %w", obj.name, node, err)
 			}
 		}
 	}
@@ -241,23 +245,33 @@ func (s *Store) cleanupTierRedundancy(obj *object, from, to tier.Level) {
 // deleteReplicaColumns removes the object's hot-tier replica set (a nil
 // write deletes: see memIO.ReadColumn's missing-column rule).
 func (s *Store) deleteReplicaColumns(obj *object) {
-	rep := repKey(obj.name)
-	for st := 0; st < obj.stripes; st++ {
-		for _, ni := range s.code.DataNodeIndexes() {
-			_ = s.writeColumn(s.repNode(ni), rep, st, nil)
-		}
+	var nodes []int
+	for _, ni := range s.code.DataNodeIndexes() {
+		nodes = append(nodes, s.repNode(ni))
 	}
+	s.deleteColumns(repKey(obj.name), obj.stripes, nodes)
 }
 
 // deleteGlobalColumns removes the object's global parity columns (the
 // cold tier's storage saving).
 func (s *Store) deleteGlobalColumns(obj *object) {
-	for st := 0; st < obj.stripes; st++ {
-		for ni := range s.nodes {
-			if s.code.Role(ni) == core.RoleGlobalParity {
-				_ = s.writeColumn(ni, obj.name, st, nil)
-			}
+	var nodes []int
+	for ni := range s.nodes {
+		if s.code.Role(ni) == core.RoleGlobalParity {
+			nodes = append(nodes, ni)
 		}
+	}
+	s.deleteColumns(obj.name, obj.stripes, nodes)
+}
+
+// deleteColumns writes nil over the named columns of every stripe.
+func (s *Store) deleteColumns(object string, stripes int, nodes []int) {
+	w := s.columnWriter(object, false)
+	for st := 0; st < stripes; st++ {
+		for _, ni := range nodes {
+			w.add(ni, st, nil)
+		}
+		_ = w.flush()
 	}
 }
 

@@ -186,6 +186,11 @@ func (s *Store) applyUpdate(name string, id int, newData []byte) (err error) {
 		// their new checksums (whole-column and per-sub-block).
 		sums := make(map[int]uint32)
 		subSums := make(map[int][]uint32)
+		// One column at a time, stopping at the first failure: until the
+		// checksums below are published every column written is one the
+		// readers demote, so a failing update must touch as few as it can.
+		w := s.columnWriter(name, true)
+		var written []int
 		for i := range cols {
 			if !mutated[i] {
 				continue
@@ -196,10 +201,12 @@ func (s *Store) applyUpdate(name string, id int, newData []byte) (err error) {
 				// silently resurrect the redundancy the demotion removed.
 				continue
 			}
-			if err := s.writeColumn(i, name, st, cols[i]); err != nil {
-				return fmt.Errorf("store update: write node %d: %w", i, err)
-			}
+			w.add(i, st, cols[i])
 			sums[i], subSums[i] = s.colSums(cols[i])
+			written = append(written, i)
+		}
+		if node, err := firstFailure(w.flush()); err != nil {
+			return fmt.Errorf("store update: write node %d: %w", node, err)
 		}
 		obj.setSums(st, len(s.nodes), sums)
 		obj.setSubSums(st, len(s.nodes), subSums)
@@ -208,11 +215,13 @@ func (s *Store) applyUpdate(name string, id int, newData []byte) (err error) {
 		// replica reads (which verify by checksum and fall back to the
 		// decode path), never correctness.
 		if obj.tierLevel() == tier.Hot {
-			for i := range cols {
-				if mutated[i] && s.code.Role(i) == core.RoleData {
-					_ = s.writeColumn(s.repNode(i), repKey(name), st, cols[i])
+			rw := s.columnWriter(repKey(name), false)
+			for _, i := range written {
+				if s.code.Role(i) == core.RoleData {
+					rw.add(s.repNode(i), st, cols[i])
 				}
 			}
+			_ = rw.flush()
 		}
 		s.crash("update.mid-write")
 	}
